@@ -2,19 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 from numpy.typing import NDArray
 
 Array = NDArray[np.float64]
 
 
-def frozen_copy(a, shape=None) -> Array:
+def frozen_copy(a) -> Array:
     """Owned, read-only float copy of an array-like."""
     out = np.array(a, dtype=float)
-    if shape is not None and out.shape != shape:
-        raise ValueError(f"expected shape {shape}, got {out.shape}")
     out.setflags(write=False)
     return out
 
@@ -54,27 +50,6 @@ def oblique_projection(onto_rows: Array, along_rows: Array) -> Array:
     return onto.T @ inv[:k]
 
 
-def operator_norm(mat: Array, n_iter: int = 200, rtol: float = 1e-12,
-                  seed: int = 0) -> float:
-    """Largest singular value via power iteration on mat.T @ mat."""
-    a = np.asarray(mat, dtype=float)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(a.shape[1])
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(n_iter):
-        w = a @ v
-        estimate = float(np.linalg.norm(w))
-        if estimate == 0.0:
-            return 0.0
-        if abs(estimate - sigma) <= rtol * estimate:
-            return estimate
-        sigma = estimate
-        v = a.T @ w
-        v /= np.linalg.norm(v)
-    return sigma
-
-
 def extrapolate_to_zero(steps, values) -> float:
     """Neville polynomial extrapolation of samples (step, value) to step -> 0."""
     t = np.asarray(steps, dtype=float)
@@ -84,16 +59,3 @@ def extrapolate_to_zero(steps, values) -> float:
         for i in range(n - level):
             q[i] = (t[i] * q[i + 1] - t[i + level] * q[i]) / (t[i] - t[i + level])
     return float(q[0])
-
-
-def fd_jacobian(func: Callable[[Array], Array], x: Array, step: float = 1e-6) -> Array:
-    """Central-difference Jacobian of a vector-valued map."""
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for i in range(x.size):
-        unit = np.zeros_like(x)
-        unit[i] = step
-        hi = np.asarray(func(x + unit), dtype=float)
-        lo = np.asarray(func(x - unit), dtype=float)
-        cols.append((hi - lo) / (2.0 * step))
-    return np.stack(cols, axis=1)

@@ -25,17 +25,17 @@ import numpy as np
 from . import __version__
 from .charts import build_chart, chart_forward, chart_inverse, \
     projection_continuity_probe, sphere_chart_image_check
-from .errors import GeometryError, NonManifoldSuspected, NotDifferentiableError
-from .geometric import equivalence_roundtrip, estimate_tangent, geometric_gradient
-from .norms import (NormSpec, analytic_gradient, as_vector, classify_point,
-                    eval_norm, fd_gradient, spec_from_dict)
+from .errors import GeometryError, NotDifferentiableError
+from .geometric import equivalence_roundtrip, geometric_check
+from .norms import (CLASSIFY_TOL, NormSpec, analytic_gradient, as_vector,
+                    classify_point, eval_norm, fd_gradient, spec_from_dict)
 
 COMMANDS = ("grad", "classify", "chart", "probe", "roundtrip", "sphere-sample")
 
 _DEFAULTS = {
-    "classify_tol": 1e-6,
-    "grad_tol": None,        # derived from sample_radius when absent
-    "sample_radius": None,   # 1e-3 * |point| when absent
+    "classify_tol": CLASSIFY_TOL,
+    "grad_tol": None,        # geometric_check's default when absent
+    "sample_radius": None,   # geometric_check's default when absent
     "chart_radius": None,
     "chart_samples": 64,
     "decades": 3,
@@ -108,28 +108,18 @@ def _fmt_vec(v) -> str:
     return "(" + ", ".join(f"{x:.12g}" for x in np.asarray(v).ravel()) + ")"
 
 
-def _sample_radius(request: AnalysisRequest, point) -> float:
-    value = request.option("sample_radius")
-    if value is None:
-        value = 1e-3 * eval_norm(request.norm, point)
-    return float(value)
-
-
 def _cmd_grad(request: AnalysisRequest, point, seed: int):
     spec = request.norm
     verdict = classify_point(spec, point, tol=request.option("classify_tol"),
                              seed=seed)
+    geo = geometric_check(spec, point, sample_radius=request.option("sample_radius"),
+                          gradient_tol=request.option("grad_tol"), seed=seed)
     lines = [f"point {_fmt_vec(point)}:"]
     if not verdict.smooth:
         lines.append(f"  NonSmooth, witness {_fmt_vec(verdict.witness_direction)}, "
                      f"slopes {verdict.right_deriv:.12g} / {verdict.left_deriv:.12g}")
-        try:
-            estimate_tangent(spec, point, _sample_radius(request, point), seed=seed)
-            geometric = "unexpectedly flat"
-            ok = False
-        except (NonManifoldSuspected, GeometryError):
-            geometric = "not locally flat"
-            ok = True
+        ok = geo.error is not None
+        geometric = "not locally flat" if ok else "unexpectedly flat"
         lines.append(f"  geometric side: {geometric}")
         result = {"smooth": False, "geometric_side": geometric,
                   "witness_direction": verdict.witness_direction.tolist(),
@@ -137,32 +127,26 @@ def _cmd_grad(request: AnalysisRequest, point, seed: int):
                   "left_deriv": verdict.left_deriv}
         return result, ok, None, lines
 
-    fd = fd_gradient(spec, point)
-    result = {"smooth": True, "grad_fd": fd.coeffs.tolist()}
-    lines.append(f"  fd:        {_fmt_vec(fd.coeffs)}")
+    grad_fd = fd_gradient(spec, point).coeffs if geo.grad_fd is None else geo.grad_fd
+    result = {"smooth": True, "grad_fd": grad_fd.tolist()}
+    lines.append(f"  fd:        {_fmt_vec(grad_fd)}")
     discrepancies = []
     try:
         an = analytic_gradient(spec, point)
         result["grad_analytic"] = an.coeffs.tolist()
-        gap = float(np.max(np.abs(an.coeffs - fd.coeffs)))
+        gap = float(np.max(np.abs(an.coeffs - grad_fd)))
         discrepancies.append(("analytic", gap, request.option("analytic_tol")))
         lines.append(f"  analytic:  {_fmt_vec(an.coeffs)}")
     except NotDifferentiableError:
         result["grad_analytic"] = None
 
-    radius = _sample_radius(request, point)
-    grad_tol = request.option("grad_tol")
-    if grad_tol is None:
-        grad_tol = 10.0 * radius / eval_norm(spec, point)
-    try:
-        geo = geometric_gradient(estimate_tangent(spec, point, radius, seed=seed), spec)
-        result["grad_geometric"] = geo.functional.coeffs.tolist()
-        gap = float(np.max(np.abs(geo.functional.coeffs - fd.coeffs)))
-        discrepancies.append(("geometric", gap, grad_tol))
-        lines.append(f"  geometric: {_fmt_vec(geo.functional.coeffs)}")
-    except (NonManifoldSuspected, GeometryError) as exc:
+    if geo.error is None:
+        result["grad_geometric"] = geo.grad_geom.tolist()
+        discrepancies.append(("geometric", geo.discrepancy, geo.gradient_tol))
+        lines.append(f"  geometric: {_fmt_vec(geo.grad_geom)}")
+    else:
         result["grad_geometric"] = None
-        result["geometric_error"] = str(exc)
+        result["geometric_error"] = str(geo.error)
         discrepancies.append(("geometric availability", np.inf, 0.0))
 
     ok = all(gap <= tol for _, gap, tol in discrepancies)
@@ -386,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("probe", help="projection-continuity convergence table")
     common(p)
-    p.add_argument("--decades", type=int, default=3)
+    p.add_argument("--decades", type=int)
 
     p = sub.add_parser("roundtrip", help="cross-check analytic vs geometric routes")
     common(p)
@@ -395,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sphere-sample", help="sample points of the unit sphere")
     common(p, needs_points=False)
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=int)
 
     return parser
 
@@ -443,8 +427,6 @@ def run_cli(argv=None) -> int:
         print(f"check failure: {exc}", file=sys.stderr)
         return 1
 
-
-main = run_cli
 
 if __name__ == "__main__":
     raise SystemExit(run_cli())

@@ -12,7 +12,7 @@ class NotDifferentiableError(GeometryError):
 
 
 class ConvergenceError(GeometryError):
-    """An iterative solve (Newton, power iteration) failed to converge."""
+    """An iterative solve (Newton) failed to converge."""
 
 
 class EstimationError(GeometryError):

@@ -19,8 +19,7 @@ from ._linalg import Array, frozen_copy
 from .errors import (ConvergenceError, DecompositionError, EstimationError,
                      NonManifoldSuspected, NotDifferentiableError)
 from .charts import build_chart, sphere_chart_image_check
-from .norms import (GradientFunctional, NormSpec, as_vector, classify_point,
-                    eval_norm, fd_gradient)
+from .norms import GradientFunctional, NormSpec, as_vector, eval_norm, fd_gradient
 
 #: Fit residuals above this fraction of the sample radius mean "not flat":
 #: a smooth sphere's residual is o(radius) while a corner's is Theta(radius).
@@ -234,18 +233,28 @@ class RoundtripReport:
         }
 
 
-def equivalence_roundtrip(spec: NormSpec, e0, *, sample_radius: float | None = None,
-                          samples: int | None = None, seed: int = 0,
-                          gradient_tol: float | None = None) -> RoundtripReport:
-    """Run both derivative routes at ``e0`` and cross-check them.
+@dataclass(frozen=True, eq=False)
+class GeometricCheck:
+    """The sample-only derivative route at one point, against the fd oracle.
 
-    Route one: classify the point; if smooth, build the chart and verify
-    it exchanges sphere and tangent hyperplane. Route two: estimate the
-    tangent from samples alone and rebuild the derivative from it,
-    comparing against the central-difference oracle. A consistent point
-    either passes both routes or fails both (corner detected analytically
-    and geometrically); anything else is reported as a violation, which a
-    correct implementation should never produce.
+    ``error`` says why the samples gave no tangent; without it, the two
+    gradients and their discrepancy are set.
+    """
+
+    gradient_tol: float
+    error: EstimationError | None = None
+    grad_fd: Array | None = None
+    grad_geom: Array | None = None
+    discrepancy: float | None = None
+
+
+def geometric_check(spec: NormSpec, e0, *, sample_radius: float | None = None,
+                    gradient_tol: float | None = None, samples: int | None = None,
+                    seed: int = 0) -> GeometricCheck:
+    """Estimate the tangent at ``e0``, rebuild the derivative, compare with fd.
+
+    Defaults: ``sample_radius`` = 1e-3 * |e0|, ``gradient_tol`` =
+    10 * sample_radius / |e0|. Without a tangent, fd is not computed.
     """
     e0 = as_vector(e0, spec.dim)
     r = eval_norm(spec, e0)
@@ -255,44 +264,50 @@ def equivalence_roundtrip(spec: NormSpec, e0, *, sample_radius: float | None = N
         sample_radius = 1e-3 * r
     if gradient_tol is None:
         gradient_tol = 10.0 * sample_radius / r
-
-    verdict = classify_point(spec, e0, seed=seed)
-    smooth = verdict.smooth
-    chart_residual = None
-    chart_ok = False
-    if smooth:
-        try:
-            chart = build_chart(spec, e0, seed=seed)
-            image = sphere_chart_image_check(spec, chart, samples=32, seed=seed)
-            chart_residual = max(image.max_ray_component, image.max_norm_defect)
-            chart_ok = image.passed
-        except (NotDifferentiableError, ConvergenceError):
-            chart_ok = False
-
-    flat = False
-    grad_fd = None
-    grad_geom = None
-    discrepancy = None
-    gradients_ok = False
     try:
         tangent = estimate_tangent(spec, e0, sample_radius, samples, seed=seed)
-        flat = True
-    except NonManifoldSuspected:
-        tangent = None
-    except EstimationError:
-        tangent = None
-    if tangent is not None:
-        geo = geometric_gradient(tangent, spec)
-        fd = fd_gradient(spec, e0)
-        grad_fd = fd.coeffs
-        grad_geom = geo.functional.coeffs
-        discrepancy = float(np.max(np.abs(grad_geom - grad_fd)))
-        gradients_ok = discrepancy <= gradient_tol
+    except EstimationError as exc:  # NonManifoldSuspected included
+        return GeometricCheck(gradient_tol, exc)
+    grad_geom = geometric_gradient(tangent, spec).functional.coeffs
+    grad_fd = fd_gradient(spec, e0).coeffs
+    return GeometricCheck(gradient_tol, None, grad_fd, grad_geom,
+                          float(np.max(np.abs(grad_geom - grad_fd))))
 
-    consistent = (smooth and flat and chart_ok and gradients_ok) or \
-                 (not smooth and not flat)
+
+def equivalence_roundtrip(spec: NormSpec, e0, *, sample_radius: float | None = None,
+                          samples: int | None = None, seed: int = 0,
+                          gradient_tol: float | None = None) -> RoundtripReport:
+    """Run both derivative routes at ``e0`` and cross-check them.
+
+    Route one: build the chart, whose tangent frame classifies the point,
+    and verify it exchanges sphere and tangent hyperplane. Route two,
+    ``geometric_check``: rebuild the derivative from sampled tangents and
+    compare it with the central-difference oracle. A consistent point
+    either passes both routes or fails both (corner detected analytically
+    and geometrically); anything else is reported as a violation, which a
+    correct implementation should never produce.
+    """
+    e0 = as_vector(e0, spec.dim)
+    geo = geometric_check(spec, e0, sample_radius=sample_radius,
+                          gradient_tol=gradient_tol, samples=samples, seed=seed)
+    smooth = True
+    chart_residual = None
+    chart_ok = False
+    try:
+        chart = build_chart(spec, e0, seed=seed)
+        image = sphere_chart_image_check(spec, chart, samples=32, seed=seed)
+        chart_residual = max(image.max_ray_component, image.max_norm_defect)
+        chart_ok = image.passed
+    except NotDifferentiableError:  # the chart's classifier found a corner
+        smooth = False
+    except ConvergenceError:
+        pass
+
+    flat = geo.error is None
+    consistent = (smooth and flat and chart_ok and geo.discrepancy <= geo.gradient_tol) \
+        or (not smooth and not flat)
     return RoundtripReport(
         point=frozen_copy(e0), smooth=smooth, manifold_flat=flat,
-        grad_fd=grad_fd, grad_geom=grad_geom, max_discrepancy=discrepancy,
-        chart_residual=chart_residual,
+        grad_fd=geo.grad_fd, grad_geom=geo.grad_geom,
+        max_discrepancy=geo.discrepancy, chart_residual=chart_residual,
         verdict="consistent" if consistent else "violation")

@@ -1,16 +1,18 @@
 """Norms on R^n: evaluation, derivatives, and smoothness classification.
 
-The norm families here are declarative value objects. Derivatives come in
-two independent flavors: closed forms where the family is known to be
-differentiable (``analytic_gradient``) and a central-difference oracle
-(``fd_gradient``). ``classify_point`` decides smooth vs corner by probing
-one-sided directional slopes, which exist for every norm by convexity.
+Each norm family is one value class holding its norm, closed-form
+derivative and JSON form. Derivatives come in two independent flavors:
+closed forms where the family is differentiable (``analytic_gradient``)
+and a central-difference oracle (``fd_gradient``). ``classify_point``
+decides smooth vs corner by probing one-sided directional slopes, which
+exist for every norm by convexity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TypeAlias
+from dataclasses import dataclass, fields
+from numbers import Integral
+from typing import ClassVar, TypeAlias
 
 import numpy as np
 from numpy.typing import NDArray
@@ -44,13 +46,25 @@ def as_vector(x, dim: int | None = None) -> Vector:
     return v
 
 
-class NormSpec:
-    """Declarative description of a norm on R^n.
+#: JSON ``type`` tag -> family class; each family registers itself.
+_FAMILIES: dict[str, type[NormSpec]] = {}
 
-    Subclasses are immutable value objects; ``value`` evaluates the norm.
+
+class NormSpec:
+    """A norm on R^n. Each family is one immutable dataclass subclass.
+
+    ``class F(NormSpec, kind="f")`` registers F under the JSON type "f";
+    its JSON fields are its dataclass fields.
     """
 
+    kind: ClassVar[str]
     dim: int
+
+    def __init_subclass__(cls, kind: str | None = None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if kind is not None:
+            cls.kind = kind
+            _FAMILIES[kind] = cls
 
     def value(self, x) -> float:
         raise NotImplementedError
@@ -58,12 +72,36 @@ class NormSpec:
     def __call__(self, x) -> float:
         return self.value(x)
 
+    def gradient_coeffs(self, e0: Vector) -> Vector:
+        """Closed-form derivative at a checked nonzero ``e0``; raises at corners."""
+        raise TypeError(f"no closed-form gradient for {type(self).__name__}")
+
     def to_dict(self) -> dict:
-        return spec_to_dict(self)
+        raise TypeError(f"cannot serialize {type(self).__name__}")
+
+    @classmethod
+    def from_fields(cls, data: dict) -> NormSpec:
+        """Build the family from a JSON object holding exactly its fields."""
+        return cls(**{name: value for name, value in data.items() if name != "type"})
+
+
+def _require_int(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _sole_attainer(vals: Vector, message: str) -> int:
+    """Index of the largest |vals| entry; a relative tie for it is a corner."""
+    mags = np.abs(vals)
+    attained = np.flatnonzero(mags >= (1.0 - TIE_REL_TOL) * float(mags.max()))
+    if attained.size > 1:
+        raise NotDifferentiableError(message)
+    return int(attained[0])
 
 
 @dataclass(frozen=True, eq=False)
-class LpNorm(NormSpec):
+class LpNorm(NormSpec, kind="lp"):
     """The l^p norm with exponent in (1, 16]; the smooth power family.
 
     Exponents above 16 are rejected: |x|**(p-1) loses too many digits to
@@ -76,7 +114,7 @@ class LpNorm(NormSpec):
     def __post_init__(self):
         if not (1.0 < float(self.p) <= _MAX_LP_EXPONENT):
             raise ValueError(f"p must lie in (1, {_MAX_LP_EXPONENT}], got {self.p}")
-        if int(self.dim) < 1:
+        if _require_int(self.dim, "dim") < 1:
             raise ValueError("dim must be >= 1")
 
     def value(self, x) -> float:
@@ -86,37 +124,66 @@ class LpNorm(NormSpec):
             return 0.0
         return peak * float(np.sum((v / peak) ** self.p) ** (1.0 / self.p))
 
+    def gradient_coeffs(self, e0: Vector) -> Vector:
+        return np.sign(e0) * (np.abs(e0) / self.value(e0)) ** (self.p - 1.0)
+
+    def to_dict(self) -> dict:
+        return {"type": self.kind, "p": float(self.p), "dim": int(self.dim)}
+
+    @classmethod
+    def from_fields(cls, data: dict) -> LpNorm:
+        return cls(p=float(data["p"]), dim=data["dim"])
+
 
 @dataclass(frozen=True, eq=False)
-class L1Norm(NormSpec):
+class L1Norm(NormSpec, kind="l1"):
     """Sum of absolute values; non-smooth on the coordinate hyperplanes."""
 
     dim: int
 
     def __post_init__(self):
-        if int(self.dim) < 1:
+        if _require_int(self.dim, "dim") < 1:
             raise ValueError("dim must be >= 1")
 
     def value(self, x) -> float:
         return float(np.sum(np.abs(as_vector(x, self.dim))))
 
+    def gradient_coeffs(self, e0: Vector) -> Vector:
+        peak = float(np.abs(e0).max())
+        if float(np.abs(e0).min()) <= TIE_REL_TOL * peak:
+            raise NotDifferentiableError(
+                "l1 norm is not differentiable where a coordinate vanishes")
+        return np.sign(e0)
+
+    def to_dict(self) -> dict:
+        return {"type": self.kind, "dim": int(self.dim)}
+
 
 @dataclass(frozen=True, eq=False)
-class LInfNorm(NormSpec):
+class LInfNorm(NormSpec, kind="linf"):
     """Max of absolute values; non-smooth where the max is tied."""
 
     dim: int
 
     def __post_init__(self):
-        if int(self.dim) < 1:
+        if _require_int(self.dim, "dim") < 1:
             raise ValueError("dim must be >= 1")
 
     def value(self, x) -> float:
         return float(np.max(np.abs(as_vector(x, self.dim))))
 
+    def gradient_coeffs(self, e0: Vector) -> Vector:
+        j = _sole_attainer(e0, "max norm has tied attaining coordinates")
+        coeffs = np.zeros_like(e0)
+        coeffs[j] = np.sign(e0[j])
+        return coeffs
+
+    def to_dict(self) -> dict:
+        return {"type": self.kind, "dim": int(self.dim)}
+
 
 @dataclass(frozen=True, eq=False)
-class QuadraticNorm(NormSpec):
+class QuadraticNorm(NormSpec, kind="quadratic"):
     """sqrt(x' Q x) for a symmetric positive-definite Q."""
 
     q: Vector
@@ -146,9 +213,15 @@ class QuadraticNorm(NormSpec):
         w = v / peak  # scale out before squaring so tiny vectors do not underflow
         return peak * float(np.sqrt(max(float(w @ self.q @ w), 0.0)))
 
+    def gradient_coeffs(self, e0: Vector) -> Vector:
+        return self.q @ e0 / self.value(e0)
+
+    def to_dict(self) -> dict:
+        return {"type": self.kind, "q": self.q.tolist()}
+
 
 @dataclass(frozen=True, eq=False)
-class PolyhedralNorm(NormSpec):
+class PolyhedralNorm(NormSpec, kind="polyhedral"):
     """max_i |<f_i, x>| over a full-rank family of row functionals.
 
     Full rank guarantees the max vanishes only at the origin, so the
@@ -176,9 +249,17 @@ class PolyhedralNorm(NormSpec):
         v = as_vector(x, self.dim)
         return float(np.max(np.abs(self.functionals @ v)))
 
+    def gradient_coeffs(self, e0: Vector) -> Vector:
+        vals = self.functionals @ e0
+        j = _sole_attainer(vals, "tied attaining functionals")
+        return np.sign(vals[j]) * self.functionals[j]
+
+    def to_dict(self) -> dict:
+        return {"type": self.kind, "functionals": self.functionals.tolist()}
+
 
 @dataclass(frozen=True, eq=False)
-class ProductMaxNorm(NormSpec):
+class ProductMaxNorm(NormSpec, kind="product_max"):
     """max(|left block|, |right block|) on the concatenated space."""
 
     left: NormSpec
@@ -196,6 +277,25 @@ class ProductMaxNorm(NormSpec):
         v = as_vector(x, self.dim)
         return max(self.left.value(v[: self.left.dim]),
                    self.right.value(v[self.left.dim:]))
+
+    def gradient_coeffs(self, e0: Vector) -> Vector:
+        a, b = product_split(e0, self.left.dim)
+        na, nb = self.left.value(a), self.right.value(b)
+        if abs(na - nb) <= TIE_REL_TOL * max(na, nb):
+            raise NotDifferentiableError("both factors attain the product max")
+        if na > nb:  # the active block's derivative, zero on the other block
+            return np.concatenate([analytic_gradient(self.left, a).coeffs,
+                                   np.zeros(self.right.dim)])
+        return np.concatenate([np.zeros(self.left.dim),
+                               analytic_gradient(self.right, b).coeffs])
+
+    def to_dict(self) -> dict:
+        return {"type": self.kind, "left": self.left.to_dict(),
+                "right": self.right.to_dict()}
+
+    @classmethod
+    def from_fields(cls, data: dict) -> ProductMaxNorm:
+        return cls(left=spec_from_dict(data["left"]), right=spec_from_dict(data["right"]))
 
 
 def eval_norm(spec: NormSpec, x) -> float:
@@ -253,56 +353,7 @@ def analytic_gradient(spec: NormSpec, e0) -> GradientFunctional:
     e0 = as_vector(e0, spec.dim)
     if not np.any(e0):
         raise ValueError("the norm is not differentiable at the origin")
-
-    if isinstance(spec, LpNorm):
-        r = spec.value(e0)
-        coeffs = np.sign(e0) * (np.abs(e0) / r) ** (spec.p - 1.0)
-        return GradientFunctional(coeffs, e0)
-
-    if isinstance(spec, QuadraticNorm):
-        return GradientFunctional(spec.q @ e0 / spec.value(e0), e0)
-
-    if isinstance(spec, L1Norm):
-        peak = float(np.abs(e0).max())
-        if float(np.abs(e0).min()) <= TIE_REL_TOL * peak:
-            raise NotDifferentiableError(
-                "l1 norm is not differentiable where a coordinate vanishes")
-        return GradientFunctional(np.sign(e0), e0)
-
-    if isinstance(spec, LInfNorm):
-        mags = np.abs(e0)
-        peak = float(mags.max())
-        attained = np.flatnonzero(mags >= (1.0 - TIE_REL_TOL) * peak)
-        if attained.size > 1:
-            raise NotDifferentiableError("max norm has tied attaining coordinates")
-        coeffs = np.zeros_like(e0)
-        coeffs[attained[0]] = np.sign(e0[attained[0]])
-        return GradientFunctional(coeffs, e0)
-
-    if isinstance(spec, PolyhedralNorm):
-        vals = spec.functionals @ e0
-        mags = np.abs(vals)
-        peak = float(mags.max())
-        attained = np.flatnonzero(mags >= (1.0 - TIE_REL_TOL) * peak)
-        if attained.size > 1:
-            raise NotDifferentiableError("tied attaining functionals")
-        j = attained[0]
-        return GradientFunctional(np.sign(vals[j]) * spec.functionals[j], e0)
-
-    if isinstance(spec, ProductMaxNorm):
-        a, b = product_split(e0, spec.left.dim)
-        na, nb = spec.left.value(a), spec.right.value(b)
-        if abs(na - nb) <= TIE_REL_TOL * max(na, nb):
-            raise NotDifferentiableError("both factors attain the product max")
-        if na > nb:
-            g = analytic_gradient(spec.left, a)
-            coeffs = np.concatenate([g.coeffs, np.zeros(spec.right.dim)])
-        else:
-            g = analytic_gradient(spec.right, b)
-            coeffs = np.concatenate([np.zeros(spec.left.dim), g.coeffs])
-        return GradientFunctional(coeffs, e0)
-
-    raise TypeError(f"no closed-form gradient for {type(spec).__name__}")
+    return GradientFunctional(spec.gradient_coeffs(e0), e0)
 
 
 def default_fd_step(spec: NormSpec, e0) -> float:
@@ -459,64 +510,27 @@ def product_norm_constants(spec: NormSpec, left_dim: int,
     return c1, c2
 
 
-_SPEC_FIELDS = {
-    "lp": {"type", "p", "dim"},
-    "l1": {"type", "dim"},
-    "linf": {"type", "dim"},
-    "quadratic": {"type", "q"},
-    "polyhedral": {"type", "functionals"},
-    "product_max": {"type", "left", "right"},
-}
-
-
-def _require_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def spec_from_dict(data) -> NormSpec:
     """Build a norm from its JSON object form. Unknown fields are rejected."""
     if not isinstance(data, dict):
         raise ValueError("norm description must be a JSON object")
     kind = data.get("type")
-    if kind not in _SPEC_FIELDS:
+    family = _FAMILIES.get(kind) if isinstance(kind, str) else None
+    if family is None:
         raise ValueError(f"unknown norm type {kind!r}")
-    allowed = _SPEC_FIELDS[kind]
+    allowed = {"type", *(f.name for f in fields(family))}
     extra = set(data) - allowed
     if extra:
         raise ValueError(f"unknown fields for norm type {kind!r}: {sorted(extra)}")
     missing = allowed - set(data)
     if missing:
         raise ValueError(f"missing fields for norm type {kind!r}: {sorted(missing)}")
-
-    if kind == "lp":
-        return LpNorm(p=float(data["p"]), dim=_require_int(data["dim"], "dim"))
-    if kind == "l1":
-        return L1Norm(dim=_require_int(data["dim"], "dim"))
-    if kind == "linf":
-        return LInfNorm(dim=_require_int(data["dim"], "dim"))
-    if kind == "quadratic":
-        return QuadraticNorm(q=np.asarray(data["q"], dtype=float))
-    if kind == "polyhedral":
-        return PolyhedralNorm(functionals=np.asarray(data["functionals"], dtype=float))
-    return ProductMaxNorm(left=spec_from_dict(data["left"]),
-                          right=spec_from_dict(data["right"]))
+    try:
+        return family.from_fields(data)
+    except TypeError as exc:  # a field holds the wrong kind of JSON value
+        raise ValueError(f"malformed fields for norm type {kind!r}: {exc}") from None
 
 
 def spec_to_dict(spec: NormSpec) -> dict:
     """Serialize a norm to its JSON object form."""
-    if isinstance(spec, LpNorm):
-        return {"type": "lp", "p": float(spec.p), "dim": int(spec.dim)}
-    if isinstance(spec, L1Norm):
-        return {"type": "l1", "dim": int(spec.dim)}
-    if isinstance(spec, LInfNorm):
-        return {"type": "linf", "dim": int(spec.dim)}
-    if isinstance(spec, QuadraticNorm):
-        return {"type": "quadratic", "q": spec.q.tolist()}
-    if isinstance(spec, PolyhedralNorm):
-        return {"type": "polyhedral", "functionals": spec.functionals.tolist()}
-    if isinstance(spec, ProductMaxNorm):
-        return {"type": "product_max", "left": spec_to_dict(spec.left),
-                "right": spec_to_dict(spec.right)}
-    raise TypeError(f"cannot serialize {type(spec).__name__}")
+    return spec.to_dict()

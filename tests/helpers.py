@@ -16,6 +16,19 @@ def central_diff_gradient(fn, x, step):
     return out
 
 
+def fd_jacobian(func, x, step=1e-6):
+    """Central-difference Jacobian of a vector-valued map."""
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for i in range(x.size):
+        unit = np.zeros_like(x)
+        unit[i] = step
+        hi = np.asarray(func(x + unit), dtype=float)
+        lo = np.asarray(func(x - unit), dtype=float)
+        cols.append((hi - lo) / (2.0 * step))
+    return np.stack(cols, axis=1)
+
+
 def spd_matrix(rng, dim):
     a = rng.standard_normal((dim, dim))
     return a @ a.T + np.eye(dim)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import normgeom
 from normgeom import (AnalysisRequest, QuadraticNorm, emit_plot_data,
                       run_request, spec_from_dict)
 from normgeom.cli import run_cli, validate_report
@@ -134,6 +139,14 @@ def test_byte_identical_reports_and_csv(square_spec, tmp_path):
     assert ca.read_bytes() == cb.read_bytes()
 
 
+def test_python_m_normgeom_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(normgeom.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "normgeom", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "sphere-sample" in proc.stdout
+
+
 def test_seed_changes_report(square_spec, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run_cli(["sphere-sample", square_spec, "--count", "50", "--seed", "3",
@@ -156,14 +169,19 @@ def test_malformed_json_exits_two(tmp_path, capsys):
 
 def test_unknown_norm_type_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"type": "lorentz", "dim": 2}))
-    assert run_cli(["classify", str(bad), "--point", "1,1"]) == 2
+    for data in ({"type": "lorentz", "dim": 2}, {"type": ["lp"], "dim": 3}):
+        bad.write_text(json.dumps(data))
+        assert run_cli(["classify", str(bad), "--point", "1,1"]) == 2, data
 
 
 def test_unknown_field_exits_two(tmp_path):
+    # unknown fields and known fields of the wrong JSON type alike
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"type": "linf", "dim": 2, "radius": 3}))
-    assert run_cli(["classify", str(bad), "--point", "1,1"]) == 2
+    for data in ({"type": "linf", "dim": 2, "radius": 3},
+                 {"type": "lp", "p": None, "dim": 3},
+                 {"type": "lp", "p": {}, "dim": 3}):
+        bad.write_text(json.dumps(data))
+        assert run_cli(["classify", str(bad), "--point", "1,1"]) == 2, data
 
 
 def test_bad_point_exits_two(square_spec):

@@ -9,7 +9,7 @@ from normgeom import (DecompositionError, EstimatedTangent, L1Norm, LInfNorm,
                       directional_expansion_check, equivalence_roundtrip,
                       estimate_tangent, eval_norm, fd_gradient,
                       geometric_gradient, projection_pair, tangent_frame)
-from normgeom._linalg import operator_norm
+from normgeom import charts, geometric
 from helpers import central_diff_gradient, generic_point, smooth_specs
 
 EUCLID2 = QuadraticNorm(np.eye(2))
@@ -151,7 +151,7 @@ def test_functional_bounded_by_ray_projection_norm():
     rng = np.random.default_rng(47)
     e0 = np.array([0.6, 0.8])
     pair = projection_pair(tangent_frame(EUCLID2, e0))
-    bound = operator_norm(pair.onto_ray)
+    bound = np.linalg.norm(pair.onto_ray, 2)
     geo = geometric_gradient(estimate_tangent(EUCLID2, e0, 1e-3), EUCLID2)
     for _ in range(25):
         h = rng.standard_normal(2)
@@ -221,6 +221,24 @@ def test_roundtrip_violation_alarm_wiring():
     # the chart side succeeds, which must raise the violation alarm
     report = equivalence_roundtrip(EUCLID2, [0.6, 0.8], gradient_tol=1e-18)
     assert report.verdict == "violation"
+
+
+@pytest.mark.parametrize("spec,point", [(LpNorm(4.0, 3), [0.3, -0.5, 0.8]),
+                                        (LInfNorm(2), [1.0, 1.0])],
+                         ids=["smooth", "corner"])
+def test_roundtrip_classifies_once(monkeypatch, spec, point):
+    # the chart's tangent frame classifies the point; the roundtrip reads
+    # its verdict instead of classifying a second time
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return classify_point(*args, **kwargs)
+
+    monkeypatch.setattr(charts, "classify_point", spy)
+    monkeypatch.setattr(geometric, "classify_point", spy, raising=False)
+    equivalence_roundtrip(spec, point)
+    assert len(calls) == 1
 
 
 def test_roundtrip_report_schema_keys():

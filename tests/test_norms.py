@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normgeom import (DEFAULT_STEP_SEQUENCE, L1Norm, LInfNorm, LpNorm,
-                      NotDifferentiableError, PolyhedralNorm, ProductMaxNorm,
-                      QuadraticNorm, analytic_gradient, classify_point,
-                      eval_norm, fd_gradient, one_sided_derivative,
-                      product_embed, product_norm_constants, product_split,
-                      spec_from_dict, spec_to_dict)
+                      NormSpec, NotDifferentiableError, PolyhedralNorm,
+                      ProductMaxNorm, QuadraticNorm, analytic_gradient,
+                      classify_point, eval_norm, fd_gradient, norms,
+                      one_sided_derivative, product_embed,
+                      product_norm_constants, product_split, spec_from_dict,
+                      spec_to_dict)
 from helpers import central_diff_gradient, generic_point, smooth_specs
 
 EUCLID2 = QuadraticNorm(np.eye(2))
@@ -361,11 +362,46 @@ ROUNDTRIP_SPECS = [
 def test_spec_json_roundtrip(data):
     spec = spec_from_dict(data)
     assert spec_to_dict(spec) == data
+    # the decoded copy is the same norm, derivative included
+    copy = spec_from_dict(spec.to_dict())
+    x = generic_point(np.random.default_rng(71), spec.dim, min_abs=0.1)
+    assert copy.value(x) == spec.value(x)
+    assert np.array_equal(analytic_gradient(copy, x).coeffs,
+                          analytic_gradient(spec, x).coeffs)
+
+
+def test_every_family_is_registered():
+    # a NormSpec subclass missing from the registry could not be decoded
+    families, todo = [], [NormSpec]
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        if cls.__module__ == norms.__name__ and cls is not NormSpec:
+            families.append(cls)
+    for cls in families:
+        assert norms._FAMILIES.get(getattr(cls, "kind", None)) is cls, cls.__name__
+    assert {d["type"] for d in ROUNDTRIP_SPECS} == set(norms._FAMILIES)
+
+
+@pytest.mark.parametrize("data", [
+    {"type": "lp", "p": None, "dim": 3},
+    {"type": "lp", "p": {}, "dim": 3},
+    {"type": "lp", "p": 4.0, "dim": 3.0},
+    {"type": "quadratic", "q": {}},
+    {"type": "polyhedral", "functionals": [[1.0, "a"]]},
+    {"type": "product_max", "left": [], "right": {"type": "l1", "dim": 1}},
+], ids=["p-null", "p-object", "dim-float", "q-object", "functionals-text",
+        "left-list"])
+def test_spec_from_dict_rejects_malformed_field_types(data):
+    with pytest.raises(ValueError):
+        spec_from_dict(data)
 
 
 def test_spec_from_dict_rejects_unknown_type():
     with pytest.raises(ValueError, match="unknown norm type"):
         spec_from_dict({"type": "lorentz", "dim": 2})
+    with pytest.raises(ValueError, match="unknown norm type"):
+        spec_from_dict({"type": ["lp"], "dim": 3})  # unhashable
 
 
 def test_spec_from_dict_rejects_unknown_fields():
