@@ -50,6 +50,23 @@ def oblique_projection(onto_rows: Array, along_rows: Array) -> Array:
     return onto.T @ inv[:k]
 
 
+def sized_directions(rng: np.random.Generator, samples: int, dim: int,
+                     low: float) -> tuple[Array, Array]:
+    """Seeded directions in R^dim as rows, each with a size drawn from [low, 1).
+
+    Draws one direction and then its size, sample by sample, so the stacks
+    hold the numbers a one-sample-at-a-time loop would draw. A zero
+    direction is dropped before its size is drawn.
+    """
+    directions, sizes = [], []
+    for _ in range(samples):
+        d = rng.standard_normal(dim)
+        if np.count_nonzero(d):
+            directions.append(d)
+            sizes.append(rng.uniform(low, 1.0))
+    return np.array(directions).reshape(-1, dim), np.array(sizes)
+
+
 def extrapolate_to_zero(steps, values) -> float:
     """Neville polynomial extrapolation of samples (step, value) to step -> 0."""
     t = np.asarray(steps, dtype=float)

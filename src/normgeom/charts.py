@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import (Array, frozen_copy, oblique_projection,
-                      orthonormal_complement)
+                      orthonormal_complement, sized_directions)
 from .errors import (ChartDomainError, ConvergenceError, DecompositionError,
-                     NotDifferentiableError)
-from .norms import (CLASSIFY_TOL, GradientFunctional, NormSpec, as_vector,
-                    analytic_gradient, classify_point, eval_norm, fd_gradient)
+                     GeometryError, NotDifferentiableError)
+from .norms import (CLASSIFY_TOL, GradientFunctional, NormSpec, as_rows, as_vector,
+                    classify_point, eval_norm)
 
 #: Slack applied to domain-membership checks, relative to the radius.
 _DOMAIN_SLACK = 1e-9
@@ -153,27 +153,94 @@ class Chart:
         return self.frame.basis @ as_vector(c, self.frame.dim)
 
 
-def _forward(chart: Chart, e: Array) -> Array:
-    tangent_part = chart.projections.onto_tangent @ e
-    return tangent_part + chart.t_plus(eval_norm(chart.spec, e) - chart.base_norm)
+def _forward(chart: Chart, E: Array) -> Array:
+    """Chart images of the (checked) rows of ``E``, with no domain check."""
+    tangent_part = (chart.projections.onto_tangent @ E[:, :, None])[:, :, 0]
+    defect = chart.spec.values(E) - chart.base_norm
+    return tangent_part + (defect / chart.base_norm)[:, None] * chart.frame.base_point
+
+
+def chart_forward_rows(chart: Chart, E) -> Array:
+    """Chart images of the rows of ``E``; ``chart_forward`` on a whole stack."""
+    E = as_rows(E, chart.frame.dim)
+    offsets = chart.spec.values(E - chart.frame.base_point)
+    outside = np.flatnonzero(offsets > chart.domain_radius * (1.0 + _DOMAIN_SLACK))
+    if outside.size:
+        raise ChartDomainError(
+            f"point at distance {offsets[outside[0]]:.3e} exceeds domain radius "
+            f"{chart.domain_radius:.3e}")
+    return _forward(chart, E)
 
 
 def chart_forward(chart: Chart, e) -> Array:
     """Chart image of ``e``: tangent component plus the norm defect on the ray."""
-    e = as_vector(e, chart.frame.dim)
-    offset = eval_norm(chart.spec, e - chart.frame.base_point)
-    if offset > chart.domain_radius * (1.0 + _DOMAIN_SLACK):
-        raise ChartDomainError(
-            f"point at distance {offset:.3e} exceeds domain radius "
-            f"{chart.domain_radius:.3e}")
-    return _forward(chart, e)
+    return chart_forward_rows(chart, as_vector(e, chart.frame.dim)[None])[0]
 
 
-def _norm_gradient(spec: NormSpec, e: Array) -> GradientFunctional:
-    try:
-        return analytic_gradient(spec, e)
-    except NotDifferentiableError:
-        return fd_gradient(spec, e)
+def _newton_steps(chart: Chart, E: Array, residuals: Array) -> Array:
+    """Newton corrections at the rows of ``E``; raises if any system fails."""
+    G = chart.spec.gradient_rows(E)
+    base = chart.frame.base_point
+    jac = chart.projections.onto_tangent + base[:, None] * G[:, None, :] / chart.base_norm
+    return np.linalg.solve(jac, residuals[:, :, None])[:, :, 0]
+
+
+def chart_inverse_rows(chart: Chart, C) -> tuple[Array, list[GeometryError | None]]:
+    """Invert the chart at every row of ``C`` by one lockstep Newton iteration.
+
+    All rows iterate together and each retires once its residual meets
+    the target. A row fails alone: outside the domain radius
+    (ChartDomainError), or stalled, at a singular Jacobian or at a
+    non-finite iterate (ConvergenceError). Returns the preimages, NaN on
+    failed rows, and per row its error or None.
+    """
+    C = as_rows(C, chart.frame.dim)
+    k = C.shape[0]
+    errors: list[GeometryError | None] = [None] * k
+    for i in np.flatnonzero(chart.spec.values(C) > chart.domain_radius * (1.0 + _DOMAIN_SLACK)):
+        errors[i] = ChartDomainError("chart coordinates outside the domain radius")
+    base = chart.frame.base_point
+    scale = max(1.0, float(np.linalg.norm(base)))
+    E = base + C
+    out = np.full_like(C, np.nan)
+    best_res = np.full(k, np.inf)
+    active = np.flatnonzero([err is None for err in errors])
+    for _ in range(_NEWTON_MAX_ITER):
+        finite = np.isfinite(E[active]).all(axis=1)
+        for i in active[~finite]:
+            errors[i] = ConvergenceError(
+                "iterate left the admissible region: vector entries must be finite")
+        active = active[finite]
+        if not active.size:
+            break
+        Ea = E[active]
+        residuals = _forward(chart, Ea) - C[active]
+        res = np.linalg.norm(residuals, axis=1)
+        better = res < best_res[active]
+        out[active[better]] = Ea[better]
+        best_res[active[better]] = res[better]
+        done = res <= 1e-12 * scale
+        out[active[done]] = Ea[done]
+        active, Ea, residuals = active[~done], Ea[~done], residuals[~done]
+        try:
+            E[active] = Ea - _newton_steps(chart, Ea, residuals)
+        except (np.linalg.LinAlgError, ValueError):
+            # step row by row to find the failing systems; the rest step as usual
+            stepped = np.ones(active.size, dtype=bool)
+            for j, i in enumerate(active):
+                try:
+                    E[i] = Ea[j] - _newton_steps(chart, Ea[j:j + 1], residuals[j:j + 1])[0]
+                except (np.linalg.LinAlgError, ValueError) as exc:
+                    errors[i] = ConvergenceError(f"newton step failed: {exc}")
+                    stepped[j] = False
+            active = active[stepped]
+    for i in active:  # out of iterations: keep the best iterate if close enough
+        if best_res[i] > 1e-10 * scale:
+            errors[i] = ConvergenceError(
+                f"newton stalled at residual {best_res[i]:.3e}; domain_radius "
+                f"{chart.domain_radius:.3e} is likely too large")
+    out[[i for i, err in enumerate(errors) if err is not None]] = np.nan
+    return out, errors
 
 
 def chart_inverse(chart: Chart, c) -> Array:
@@ -183,48 +250,23 @@ def chart_inverse(chart: Chart, c) -> Array:
     rank-one update from the norm term, and equals the identity at the
     base point, so the iteration starts in its contraction region for
     small ``c``. Raises ConvergenceError when 50 iterations fail to reach
-    the residual target, the sign of a too-large domain radius.
+    the residual target, the sign of a too-large domain radius. The
+    one-row case of ``chart_inverse_rows``.
     """
-    c = as_vector(c, chart.frame.dim)
-    if eval_norm(chart.spec, c) > chart.domain_radius * (1.0 + _DOMAIN_SLACK):
-        raise ChartDomainError("chart coordinates outside the domain radius")
-    base = chart.frame.base_point
-    scale = max(1.0, float(np.linalg.norm(base)))
-    e = base + c
-    best_e = e.copy()
-    best_res = np.inf
-    for _ in range(_NEWTON_MAX_ITER):
-        try:
-            residual = _forward(chart, e) - c
-        except ValueError as exc:
-            raise ConvergenceError(f"iterate left the admissible region: {exc}")
-        res = float(np.linalg.norm(residual))
-        if res < best_res:
-            best_e, best_res = e.copy(), res
-        if res <= 1e-12 * scale:
-            return e
-        try:
-            g = _norm_gradient(chart.spec, e).coeffs
-            jac = chart.projections.onto_tangent + np.outer(base, g) / chart.base_norm
-            e = e - np.linalg.solve(jac, residual)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise ConvergenceError(f"newton step failed: {exc}")
-    if best_res <= 1e-10 * scale:
-        return best_e
-    raise ConvergenceError(
-        f"newton stalled at residual {best_res:.3e}; domain_radius "
-        f"{chart.domain_radius:.3e} is likely too large")
+    E, (error,) = chart_inverse_rows(chart, as_vector(c, chart.frame.dim)[None])
+    if error is not None:
+        raise error
+    return E[0]
 
 
 def _newton_self_test(chart: Chart) -> bool:
-    for row in chart.frame.basis:
-        step = eval_norm(chart.spec, row)
-        for sign in (0.9, -0.9):
-            try:
-                chart_inverse(chart, (sign * chart.domain_radius / step) * row)
-            except ConvergenceError:
-                return False
-    return True
+    """Whether Newton inverts 0.9 of the radius along each tangent axis, both ways."""
+    basis = chart.frame.basis
+    steps = chart.spec.values(basis)
+    targets = np.concatenate([((sign * chart.domain_radius) / steps)[:, None] * basis
+                              for sign in (0.9, -0.9)])
+    _, errors = chart_inverse_rows(chart, targets)
+    return all(err is None for err in errors)
 
 
 def build_chart(spec: NormSpec, e0, domain_radius: float | None = None, *,
@@ -286,51 +328,45 @@ def sphere_chart_image_check(spec: NormSpec, chart: Chart, samples: int = 64, *,
     Components are measured relative to max(1, sphere radius).
     """
     e0 = chart.frame.base_point
+    n = e0.size
     r = chart.base_norm
-    g = chart.frame.gradient
     rng = np.random.default_rng(seed)
     rho = 0.4 * chart.domain_radius
     ref = max(1.0, r)
-
-    max_ray = 0.0
-    max_defect = 0.0
     failures: list[dict] = []
 
-    for _ in range(samples):
-        d = rng.standard_normal(e0.size)
-        length = eval_norm(spec, d)
-        if length == 0.0:
-            continue
-        e = e0 + d * (rho * rng.uniform(0.05, 1.0) / length)
-        e *= r / eval_norm(spec, e)
-        ray = abs(g.apply(chart_forward(chart, e))) / ref
-        max_ray = max(max_ray, ray)
-        if ray > ray_tol:
+    D, U = sized_directions(rng, samples, n, 0.05)
+    E = e0 + D * (rho * U / spec.values(D))[:, None]
+    E *= (r / spec.values(E))[:, None]
+    ray = np.abs(chart_forward_rows(chart, E) @ chart.frame.gradient.coeffs) / ref
+    for e, value in zip(E, ray):
+        if value > ray_tol:
             failures.append({"kind": "ray_component", "point": e.tolist(),
-                             "value": ray})
+                             "value": float(value)})
 
-    if chart.frame.dim > 1:
-        for _ in range(samples):
-            w = rng.standard_normal(chart.frame.dim - 1)
-            c = chart.frame.basis.T @ w
-            length = eval_norm(spec, c)
-            if length == 0.0:
-                continue
-            c *= rho * rng.uniform(0.05, 1.0) / length
-            try:
-                e = chart_inverse(chart, c)
-            except ConvergenceError as exc:
+    defect = np.empty(0)
+    if n > 1:
+        W, U = sized_directions(rng, samples, n - 1, 0.05)
+        C = (chart.frame.basis.T @ W[:, :, None])[:, :, 0]
+        C *= (rho * U / spec.values(C))[:, None]
+        E, errors = chart_inverse_rows(chart, C)
+        inverted = np.array([err is None for err in errors], dtype=bool)
+        defect = np.abs(spec.values(E[inverted]) - r) / ref
+        defects = iter(defect)
+        for c, e, err in zip(C, E, errors):
+            if err is not None:
                 failures.append({"kind": "inverse_convergence",
-                                 "point": c.tolist(), "value": str(exc)})
+                                 "point": c.tolist(), "value": str(err)})
                 continue
-            defect = abs(eval_norm(spec, e) - r) / ref
-            max_defect = max(max_defect, defect)
-            if defect > norm_tol:
+            value = float(next(defects))
+            if value > norm_tol:
                 failures.append({"kind": "norm_defect", "point": e.tolist(),
-                                 "value": defect})
+                                 "value": value})
 
-    return ChartImageReport(samples=samples, max_ray_component=max_ray,
-                            max_norm_defect=max_defect, failures=failures)
+    return ChartImageReport(samples=samples,
+                            max_ray_component=float(ray.max(initial=0.0)),
+                            max_norm_defect=float(defect.max(initial=0.0)),
+                            failures=failures)
 
 
 def scale_chart(chart: Chart, r: float) -> Chart:

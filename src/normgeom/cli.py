@@ -23,9 +23,10 @@ import jsonschema
 import numpy as np
 
 from . import __version__
-from .charts import build_chart, chart_forward, chart_inverse, \
+from ._linalg import sized_directions
+from .charts import build_chart, chart_forward_rows, chart_inverse_rows, \
     projection_continuity_probe, sphere_chart_image_check
-from .errors import GeometryError, NotDifferentiableError
+from .errors import ChartDomainError, GeometryError, NotDifferentiableError
 from .geometric import equivalence_roundtrip, geometric_check
 from .norms import (CLASSIFY_TOL, NormSpec, analytic_gradient, as_vector,
                     classify_point, eval_norm, fd_gradient, spec_from_dict)
@@ -183,32 +184,38 @@ def _cmd_chart(request: AnalysisRequest, point, seed: int):
     image = sphere_chart_image_check(spec, chart,
                                      samples=int(request.option("chart_samples")),
                                      seed=seed)
-    rng = np.random.default_rng(seed)
     r = chart.base_norm
-    g = chart.frame.gradient
-    max_form = 0.0
-    max_round = 0.0
-    for _ in range(int(request.option("chart_samples"))):
-        d = rng.standard_normal(spec.dim)
-        d *= 0.5 * chart.domain_radius * rng.uniform(0.05, 1.0) / eval_norm(spec, d)
-        e = chart.frame.base_point + d
-        c = chart_forward(chart, e)
-        max_form = max(max_form, abs(eval_norm(spec, e) - g.apply(c) - r) / max(1.0, r))
-        back = chart_inverse(chart, c)
-        max_round = max(max_round,
-                        float(np.linalg.norm(back - e)) / max(1.0, float(np.linalg.norm(e))))
-    ok = image.passed and max_form <= 1e-9 and max_round <= 1e-10
+    samples = int(request.option("chart_samples"))
+    D, sizes = sized_directions(np.random.default_rng(seed), samples, spec.dim, 0.05)
+    E = chart.frame.base_point + D * (0.5 * chart.domain_radius * sizes / spec.values(D))[:, None]
+    C = chart_forward_rows(chart, E)
+    form = np.abs(spec.values(E) - C @ chart.frame.gradient.coeffs - r) / max(1.0, r)
+    max_form = float(form.max(initial=0.0))
+    # an image beyond the domain radius has no checked preimage: the check fails
+    back, errors = chart_inverse_rows(chart, C)
+    outside = np.array([isinstance(err, ChartDomainError) for err in errors], dtype=bool)
+    for err in errors:
+        if err is not None and not isinstance(err, ChartDomainError):
+            raise err
+    roundtrip = (np.linalg.norm(back - E, axis=1)
+                 / np.maximum(1.0, np.linalg.norm(E, axis=1)))[~outside]
+    max_round = float(roundtrip.max(initial=0.0))
+    left = int(outside.sum())
+    ok = image.passed and max_form <= 1e-9 and max_round <= 1e-10 and left == 0
     result = {"domain_radius": chart.domain_radius,
               "max_normal_form_residual": max_form,
               "max_roundtrip_residual": max_round,
               "max_ray_component": image.max_ray_component,
               "max_norm_defect": image.max_norm_defect,
+              "samples_outside_domain": left,
               "passed": ok}
     lines = [f"point {_fmt_vec(point)}: chart radius {chart.domain_radius:.6g}",
              f"  normal-form residual {max_form:.3e}, roundtrip {max_round:.3e}",
              f"  sphere image: ray {image.max_ray_component:.3e}, "
              f"defect {image.max_norm_defect:.3e} -> "
              f"{'ok' if ok else 'FAIL'}"]
+    if left:
+        lines.append(f"  {left} of {samples} sample images left the inverse's domain radius")
     return result, ok, None, lines
 
 
@@ -399,10 +406,27 @@ def _request_from_args(args) -> AnalysisRequest:
                            tolerances=tolerances, seed=args.seed)
 
 
+def _attach_point_values(argv: list[str]) -> list[str]:
+    """Join ``--point x,y`` into ``--point=x,y``.
+
+    argparse reads a separate value that starts with '-' (``-1,0.5``) as an
+    option, so a leading minus works only in the joined form.
+    """
+    out = []
+    args = iter(argv)
+    for arg in args:
+        if arg == "--point":
+            value = next(args, None)
+            out.append(arg if value is None else f"{arg}={value}")
+        else:
+            out.append(arg)
+    return out
+
+
 def run_cli(argv=None) -> int:
     """Entry point; returns the process exit code."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_point_values(sys.argv[1:] if argv is None else argv))
     try:
         request = _request_from_args(args)
         report, lines = run_request(request)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import Array, frozen_copy
+from ._linalg import Array, frozen_copy, sized_directions
 from .errors import (ConvergenceError, DecompositionError, EstimationError,
                      NonManifoldSuspected, NotDifferentiableError)
 from .charts import build_chart, sphere_chart_image_check
@@ -92,14 +92,10 @@ def estimate_tangent(spec: NormSpec, e0, sample_radius: float,
     if samples < 4 * n:
         raise ValueError(f"need at least {4 * n} samples")
 
-    rng = np.random.default_rng(seed)
-    diffs = np.empty((samples, n))
-    for i in range(samples):
-        d = rng.standard_normal(n)
-        length = eval_norm(spec, d)
-        # sizes in the upper half of the radius keep per-sample evidence strong
-        x = e0 + d * (sample_radius * rng.uniform(0.5, 1.0) / length)
-        diffs[i] = x * (r / eval_norm(spec, x)) - e0
+    # sizes in the upper half of the radius keep per-sample evidence strong
+    D, sizes = sized_directions(np.random.default_rng(seed), samples, n, 0.5)
+    X = e0 + D * (sample_radius * sizes / spec.values(D))[:, None]
+    diffs = X * (r / spec.values(X))[:, None] - e0
 
     _, singular, vt = np.linalg.svd(diffs, full_matrices=True)
     if singular[n - 2] <= 1e-12 * singular[0]:

@@ -1,6 +1,7 @@
 """Norms on R^n: evaluation, derivatives, and smoothness classification.
 
-Each norm family is one value class holding its norm, closed-form
+Each norm family is one value class holding its norm (of one vector with
+``value``, of every row of a stack with ``values``), closed-form
 derivative and JSON form. Derivatives come in two independent flavors:
 closed forms where the family is differentiable (``analytic_gradient``)
 and a central-difference oracle (``fd_gradient``). ``classify_point``
@@ -21,6 +22,8 @@ from ._linalg import extrapolate_to_zero, frozen_copy
 from .errors import NotDifferentiableError
 
 Vector: TypeAlias = NDArray[np.float64]
+#: A (k, n) stack of k vectors of R^n, one per row.
+Rows: TypeAlias = NDArray[np.float64]
 
 #: Relative tolerance below which two competing max-attainers count as tied.
 TIE_REL_TOL = 1e-9
@@ -46,6 +49,22 @@ def as_vector(x, dim: int | None = None) -> Vector:
     return v
 
 
+def as_rows(X, dim: int) -> Rows:
+    """Validate and convert an array-like to a finite (k, dim) float stack."""
+    a = np.asarray(X, dtype=float)
+    if a.ndim != 2 or a.shape[1] != dim:
+        raise ValueError(f"expected a (k, {dim}) stack of vectors, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("vector entries must be finite")
+    return a
+
+
+def _row_peaks(A: Rows) -> tuple[Vector, Vector]:
+    """Largest |entry| of each row, and the same with zero rows read as 1."""
+    peak = np.abs(A).max(axis=1)
+    return peak, np.where(peak == 0.0, 1.0, peak)
+
+
 #: JSON ``type`` tag -> family class; each family registers itself.
 _FAMILIES: dict[str, type[NormSpec]] = {}
 
@@ -69,12 +88,31 @@ class NormSpec:
     def value(self, x) -> float:
         raise NotImplementedError
 
+    def values(self, X) -> Vector:
+        """The norm of every row of a (k, dim) stack, checked once as a whole."""
+        raise NotImplementedError
+
     def __call__(self, x) -> float:
         return self.value(x)
 
     def gradient_coeffs(self, e0: Vector) -> Vector:
         """Closed-form derivative at a checked nonzero ``e0``; raises at corners."""
         raise TypeError(f"no closed-form gradient for {type(self).__name__}")
+
+    def gradient_rows(self, E) -> Rows:
+        """Derivative coefficients at every row of ``E``.
+
+        The closed form where it exists, the central-difference oracle at
+        corners; families without corners override this with one stacked
+        closed form.
+        """
+        rows = []
+        for e in as_rows(E, self.dim):
+            try:
+                rows.append(analytic_gradient(self, e).coeffs)
+            except NotDifferentiableError:
+                rows.append(fd_gradient(self, e).coeffs)
+        return np.array(rows).reshape(-1, self.dim)
 
     def to_dict(self) -> dict:
         raise TypeError(f"cannot serialize {type(self).__name__}")
@@ -124,8 +162,17 @@ class LpNorm(NormSpec, kind="lp"):
             return 0.0
         return peak * float(np.sum((v / peak) ** self.p) ** (1.0 / self.p))
 
+    def values(self, X) -> Vector:
+        A = np.abs(as_rows(X, self.dim))
+        peak, safe = _row_peaks(A)
+        return peak * np.sum((A / safe[:, None]) ** self.p, axis=1) ** (1.0 / self.p)
+
     def gradient_coeffs(self, e0: Vector) -> Vector:
         return np.sign(e0) * (np.abs(e0) / self.value(e0)) ** (self.p - 1.0)
+
+    def gradient_rows(self, E) -> Rows:
+        E = as_rows(E, self.dim)
+        return np.sign(E) * (np.abs(E) / self.values(E)[:, None]) ** (self.p - 1.0)
 
     def to_dict(self) -> dict:
         return {"type": self.kind, "p": float(self.p), "dim": int(self.dim)}
@@ -147,6 +194,9 @@ class L1Norm(NormSpec, kind="l1"):
 
     def value(self, x) -> float:
         return float(np.sum(np.abs(as_vector(x, self.dim))))
+
+    def values(self, X) -> Vector:
+        return np.sum(np.abs(as_rows(X, self.dim)), axis=1)
 
     def gradient_coeffs(self, e0: Vector) -> Vector:
         peak = float(np.abs(e0).max())
@@ -171,6 +221,9 @@ class LInfNorm(NormSpec, kind="linf"):
 
     def value(self, x) -> float:
         return float(np.max(np.abs(as_vector(x, self.dim))))
+
+    def values(self, X) -> Vector:
+        return np.abs(as_rows(X, self.dim)).max(axis=1)
 
     def gradient_coeffs(self, e0: Vector) -> Vector:
         j = _sole_attainer(e0, "max norm has tied attaining coordinates")
@@ -213,8 +266,20 @@ class QuadraticNorm(NormSpec, kind="quadratic"):
         w = v / peak  # scale out before squaring so tiny vectors do not underflow
         return peak * float(np.sqrt(max(float(w @ self.q @ w), 0.0)))
 
+    def values(self, X) -> Vector:
+        X = as_rows(X, self.dim)
+        peak, safe = _row_peaks(X)
+        W = X / safe[:, None]
+        # stacked products repeat the scalar w @ q @ w bit for bit
+        form = (W[:, None, :] @ self.q @ W[:, :, None])[:, 0, 0]
+        return peak * np.sqrt(np.maximum(form, 0.0))
+
     def gradient_coeffs(self, e0: Vector) -> Vector:
         return self.q @ e0 / self.value(e0)
+
+    def gradient_rows(self, E) -> Rows:
+        E = as_rows(E, self.dim)
+        return (self.q @ E[:, :, None])[:, :, 0] / self.values(E)[:, None]
 
     def to_dict(self) -> dict:
         return {"type": self.kind, "q": self.q.tolist()}
@@ -249,6 +314,10 @@ class PolyhedralNorm(NormSpec, kind="polyhedral"):
         v = as_vector(x, self.dim)
         return float(np.max(np.abs(self.functionals @ v)))
 
+    def values(self, X) -> Vector:
+        X = as_rows(X, self.dim)
+        return np.abs(self.functionals @ X[:, :, None])[:, :, 0].max(axis=1)
+
     def gradient_coeffs(self, e0: Vector) -> Vector:
         vals = self.functionals @ e0
         j = _sole_attainer(vals, "tied attaining functionals")
@@ -277,6 +346,11 @@ class ProductMaxNorm(NormSpec, kind="product_max"):
         v = as_vector(x, self.dim)
         return max(self.left.value(v[: self.left.dim]),
                    self.right.value(v[self.left.dim:]))
+
+    def values(self, X) -> Vector:
+        X = as_rows(X, self.dim)
+        return np.maximum(self.left.values(X[:, : self.left.dim]),
+                          self.right.values(X[:, self.left.dim:]))
 
     def gradient_coeffs(self, e0: Vector) -> Vector:
         a, b = product_split(e0, self.left.dim)
@@ -492,22 +566,16 @@ def product_norm_constants(spec: NormSpec, left_dim: int,
         raise ValueError(f"left_dim must lie in (0, {spec.dim})")
     if samples < 1:
         raise ValueError("samples must be positive")
-    rng = np.random.default_rng(seed)
-    c1 = 0.0
-    c2 = 0.0
-    for _ in range(samples):
-        x = rng.standard_normal(spec.dim)
-        full = spec.value(x)
-        if full == 0.0:
-            continue
-        padded_left = np.concatenate([x[:left_dim], np.zeros(spec.dim - left_dim)])
-        padded_right = np.concatenate([np.zeros(left_dim), x[left_dim:]])
-        block = max(spec.value(padded_left), spec.value(padded_right))
-        if block == 0.0:
-            continue
-        c1 = max(c1, block / full)
-        c2 = max(c2, full / block)
-    return c1, c2
+    X = np.random.default_rng(seed).standard_normal((samples, spec.dim))
+    full = spec.values(X)
+    padded_left, padded_right = X.copy(), X.copy()
+    padded_left[:, left_dim:] = 0.0
+    padded_right[:, :left_dim] = 0.0
+    block = np.maximum(spec.values(padded_left), spec.values(padded_right))
+    keep = (full != 0.0) & (block != 0.0)
+    full, block = full[keep], block[keep]
+    return (float(np.max(block / full, initial=0.0)),
+            float(np.max(full / block, initial=0.0)))
 
 
 def spec_from_dict(data) -> NormSpec:

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from normgeom import (ChartDomainError, DecompositionError, LInfNorm,
-                      NotDifferentiableError, QuadraticNorm, alpha_operator,
-                      build_chart, chart_forward, chart_inverse, eval_norm,
-                      fd_gradient, projection_continuity_probe,
+from normgeom import (ChartDomainError, ConvergenceError, DecompositionError,
+                      L1Norm, LInfNorm, LpNorm, NotDifferentiableError,
+                      PolyhedralNorm, ProductMaxNorm, QuadraticNorm,
+                      alpha_operator, build_chart, chart_forward, chart_inverse,
+                      eval_norm, fd_gradient, projection_continuity_probe,
                       projection_pair, scale_chart, sphere_chart_image_check,
                       tangent_frame)
+from normgeom.charts import chart_inverse_rows
 from helpers import fd_jacobian, generic_point, smooth_specs
 
 EUCLID2 = QuadraticNorm(np.eye(2))
@@ -170,6 +172,57 @@ def test_chart_inverse_domain_enforced():
         chart_inverse(chart, [0.0, 0.5])
 
 
+@pytest.mark.parametrize("name,spec", smooth_specs())
+def test_lockstep_newton_rows_match_scalar_inverse(name, spec):
+    rng = np.random.default_rng(73)
+    chart = build_chart(spec, generic_point(rng, spec.dim))
+    C = []
+    for _ in range(12):
+        c = rng.standard_normal(spec.dim)
+        C.append(c * (0.9 * chart.domain_radius * rng.uniform(0.05, 1.0) / eval_norm(spec, c)))
+    C.append(C[0] * (1.5 * chart.domain_radius / eval_norm(spec, C[0])))  # fails alone
+    E, errors = chart_inverse_rows(chart, C)
+    for c, e, error in zip(C[:-1], E, errors):
+        assert error is None
+        assert np.abs(e - chart_inverse(chart, c)).max() <= 1e-12
+    assert isinstance(errors[-1], ChartDomainError)
+    assert np.isnan(E[-1]).all()
+
+
+def test_lockstep_newton_isolates_a_singular_row():
+    # the middle target starts Newton at (0, 1), where the circle's
+    # gradient annihilates the base point and the Jacobian is singular
+    chart = build_chart(EUCLID2, [1.0, 0.0], domain_radius=1.5)
+    C = [[0.0, 0.1], [-1.0, 1.0], [0.0, -0.2]]
+    E, errors = chart_inverse_rows(chart, C)
+    with pytest.raises(ConvergenceError, match="newton step failed") as scalar:
+        chart_inverse(chart, C[1])
+    assert str(errors[1]) == str(scalar.value)
+    assert errors[0] is None and errors[2] is None
+    assert E[0] == pytest.approx(chart_inverse(chart, C[0]), abs=1e-12)
+    assert E[2] == pytest.approx(chart_inverse(chart, C[2]), abs=1e-12)
+
+
+def test_build_chart_keeps_its_radii():
+    # the radii the one-target-at-a-time Newton self-test picked; none of
+    # these needed a halving
+    rng = np.random.default_rng(61)
+    radii = [0.2997467859611191, 0.5900070620931881, 0.5079782772346558,
+             1.9497804212340304, 0.3866438414468666, 0.4631980157268892,
+             0.13760573017389735, 0.3244904759950248]
+    for (name, spec), radius in zip(smooth_specs(), radii):
+        assert build_chart(spec, generic_point(rng, spec.dim)).domain_radius == radius, name
+    near_ties = [
+        (PolyhedralNorm([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), [0.5, 0.45], 0.2375),
+        (L1Norm(2), [1.0, 0.01], 0.2525),
+        (LpNorm(16.0, 2), [1.0, 0.99], 0.25981224874128866),
+        (LInfNorm(3), [0.4798, -0.9871, -1.0], 0.25),
+        (ProductMaxNorm(EUCLID2, LpNorm(4.0, 2)), [0.6, 0.7, 0.7, 0.8], 0.2304886114323222),
+    ]
+    for spec, point, radius in near_ties:
+        assert build_chart(spec, point).domain_radius == radius, type(spec).__name__
+
+
 @pytest.mark.parametrize("name,spec", smooth_specs()[:5])
 def test_chart_derivative_at_base_is_identity(name, spec):
     rng = np.random.default_rng(53)
@@ -217,6 +270,37 @@ def test_sphere_image_check_reports_failures_without_raising():
     assert not report.passed
     assert report.failures and report.failures[0]["kind"] == "ray_component"
     assert "point" in report.failures[0]
+
+
+def test_image_check_draws_its_samples_one_at_a_time():
+    # a negative tolerance fails every forward sample, so the report lists
+    # them all: the points a per-sample loop of scalar evaluations draws
+    spec = LpNorm(4.0, 2)
+    chart = build_chart(spec, [0.6, 0.8])
+    report = sphere_chart_image_check(spec, chart, samples=8, seed=3, ray_tol=-1.0)
+    rng = np.random.default_rng(3)
+    expected = []
+    for _ in range(8):
+        d = rng.standard_normal(2)
+        e = chart.frame.base_point + d * (0.4 * chart.domain_radius
+                                          * rng.uniform(0.05, 1.0) / eval_norm(spec, d))
+        expected.append(e * (chart.base_norm / eval_norm(spec, e)))
+    got = [f["point"] for f in report.failures if f["kind"] == "ray_component"]
+    assert np.allclose(got, expected, rtol=1e-15, atol=0.0)
+
+
+def test_image_check_reports_a_failing_inverse_alone():
+    # with radius 5 the targets reach norm 2; those beyond 1 have no
+    # preimage on the unit circle and fail, the rest invert
+    chart = build_chart(EUCLID2, [1.0, 0.0], domain_radius=5.0)
+    report = sphere_chart_image_check(EUCLID2, chart, samples=12)
+    assert 0 < len(report.failures) < 12
+    for failure in report.failures:
+        assert failure["kind"] == "inverse_convergence"
+        with pytest.raises(ConvergenceError) as scalar:
+            chart_inverse(chart, failure["point"])
+        assert failure["value"] == str(scalar.value)
+    assert report.max_norm_defect <= 1e-9
 
 
 # --------------------------------------------------------------- scaling

@@ -49,6 +49,34 @@ def test_classify_smooth_point(square_spec, capsys):
     assert "Smooth, gradient (1, 0)" in out
 
 
+@pytest.mark.parametrize("args", [["--point", "-1,0.5"], ["--point=-1,0.5"]],
+                         ids=["separate", "joined"])
+def test_point_may_start_with_a_minus(square_spec, capsys, args):
+    code = run_cli(["classify", square_spec, *args])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "point (-1, 0.5): Smooth, gradient (-1, 0)" in out
+
+
+def test_chart_sample_leaving_the_domain_fails_the_check(tmp_path, capsys):
+    # near the max norm's tie an image of a sample 0.5 radius away lies
+    # beyond the radius, where the inverse is not checked
+    spec = tmp_path / "cube.json"
+    spec.write_text(json.dumps({"type": "linf", "dim": 3}))
+    out_path = tmp_path / "report.json"
+    code = run_cli(["chart", str(spec), "--point", "0.4798,-0.9871,-1.0",
+                    "--out", str(out_path)])
+    out = capsys.readouterr().out
+    assert code == 1
+    report = json.loads(out_path.read_text())
+    validate_report(report)
+    result = report["results"][0]["result"]
+    assert result["passed"] is False
+    left = result["samples_outside_domain"]
+    assert left >= 1
+    assert f"{left} of 64 sample images left the inverse's domain radius" in out
+
+
 def test_probe_three_decades(circle_spec, tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code = run_cli(["probe", circle_spec, "--point", "1,0", "--decades", "3",

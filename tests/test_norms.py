@@ -73,6 +73,48 @@ def test_norm_axioms(spec, data):
     assert lhs <= rhs + 1e-12 * max(1.0, rhs)
 
 
+@pytest.mark.parametrize("spec", AXIOM_SPECS, ids=lambda s: type(s).__name__)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_values_match_value_row_by_row(spec, data):
+    k = data.draw(st.integers(min_value=1, max_value=5))
+    unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+    rows = np.array(data.draw(st.lists(st.lists(unit, min_size=spec.dim, max_size=spec.dim),
+                                       min_size=k, max_size=k)))
+    decades = np.array(data.draw(st.lists(st.floats(min_value=-12.0, max_value=12.0),
+                                          min_size=k, max_size=k)))
+    X = np.vstack([rows * 10.0 ** decades[:, None], np.zeros(spec.dim)])
+    got = spec.values(X)
+    assert got.shape == (k + 1,)
+    assert got[-1] == 0.0
+    for x, v in zip(X, got):
+        assert v == pytest.approx(spec.value(x), rel=1e-15, abs=0.0)
+
+
+def test_values_checks_the_stack():
+    spec = LpNorm(3.0, 2)
+    for bad in ([1.0, 2.0], [[1.0, 2.0, 3.0]], [[1.0, np.nan]], [[np.inf, 0.0]]):
+        with pytest.raises(ValueError):
+            spec.values(bad)
+    assert spec.values(np.empty((0, 2))).shape == (0,)
+
+
+@pytest.mark.parametrize("spec", AXIOM_SPECS, ids=lambda s: type(s).__name__)
+def test_gradient_rows_match_the_pointwise_gradient(spec):
+    # closed form where there is one, the fd oracle at corners (the max
+    # norm's all-ones row, the l1 norm's axis row)
+    rng = np.random.default_rng(67)
+    E = np.array([generic_point(rng, spec.dim, min_abs=0.1) for _ in range(4)]
+                 + [np.ones(spec.dim), np.eye(spec.dim)[0]])
+    expected = []
+    for e in E:
+        try:
+            expected.append(analytic_gradient(spec, e).coeffs)
+        except NotDifferentiableError:
+            expected.append(fd_gradient(spec, e).coeffs)
+    np.testing.assert_allclose(spec.gradient_rows(E), expected, rtol=1e-14, atol=0.0)
+
+
 # ------------------------------------------------------------ closed forms
 
 def test_euclid_gradient_is_base_point():
@@ -321,6 +363,32 @@ def test_block_constants_euclidean_diagonal():
     c1, c2 = product_norm_constants(EUCLID2, 1, samples=10_000)
     assert 1.40 <= c2 <= np.sqrt(2.0) + 1e-12
     assert 0.999 <= c1 <= 1.0 + 1e-12
+
+
+def _block_constants_loop(spec, left_dim, samples, seed):
+    """Reference: the constants from one scalar evaluation per draw and block."""
+    rng = np.random.default_rng(seed)
+    c1 = c2 = 0.0
+    for _ in range(samples):
+        x = rng.standard_normal(spec.dim)
+        full = spec.value(x)
+        left = np.concatenate([x[:left_dim], np.zeros(spec.dim - left_dim)])
+        right = np.concatenate([np.zeros(left_dim), x[left_dim:]])
+        block = max(spec.value(left), spec.value(right))
+        if full == 0.0 or block == 0.0:
+            continue
+        c1 = max(c1, block / full)
+        c2 = max(c2, full / block)
+    return c1, c2
+
+
+@pytest.mark.parametrize("spec,left_dim", [
+    (EUCLID2, 1), (LpNorm(3.0, 4), 2), (L1Norm(3), 1),
+    (PolyhedralNorm([[1.0, 0.0], [0.0, 1.0], [0.8, 0.6]]), 1),
+    (ProductMaxNorm(EUCLID2, L1Norm(2)), 3)], ids=lambda v: getattr(v, "kind", str(v)))
+def test_block_constants_match_the_scalar_loop(spec, left_dim):
+    got = product_norm_constants(spec, left_dim, samples=3000, seed=5)
+    assert got == pytest.approx(_block_constants_loop(spec, left_dim, 3000, 5), rel=1e-12)
 
 
 def test_block_constants_max_norm_is_isometric():
