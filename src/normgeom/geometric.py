@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import Array, frozen_copy, sized_directions
-from .errors import (ConvergenceError, DecompositionError, EstimationError,
-                     NonManifoldSuspected, NotDifferentiableError)
+from .errors import (DecompositionError, EstimationError, NonManifoldSuspected,
+                     NotDifferentiableError)
 from .charts import build_chart, sphere_chart_image_check
 from .norms import GradientFunctional, NormSpec, as_vector, eval_norm, fd_gradient
 
@@ -296,8 +296,6 @@ def equivalence_roundtrip(spec: NormSpec, e0, *, sample_radius: float | None = N
         chart_ok = image.passed
     except NotDifferentiableError:  # the chart's classifier found a corner
         smooth = False
-    except ConvergenceError:
-        pass
 
     flat = geo.error is None
     consistent = (smooth and flat and chart_ok and geo.discrepancy <= geo.gradient_tol) \

@@ -114,6 +114,10 @@ class NormSpec:
                 rows.append(fd_gradient(self, e).coeffs)
         return np.array(rows).reshape(-1, self.dim)
 
+    def _gradient_rows(self, E: Rows, norms: Vector) -> Rows:
+        """``gradient_rows`` at checked rows ``E`` whose norms are ``norms``."""
+        return self.gradient_rows(E)
+
     def to_dict(self) -> dict:
         raise TypeError(f"cannot serialize {type(self).__name__}")
 
@@ -172,7 +176,10 @@ class LpNorm(NormSpec, kind="lp"):
 
     def gradient_rows(self, E) -> Rows:
         E = as_rows(E, self.dim)
-        return np.sign(E) * (np.abs(E) / self.values(E)[:, None]) ** (self.p - 1.0)
+        return self._gradient_rows(E, self.values(E))
+
+    def _gradient_rows(self, E: Rows, norms: Vector) -> Rows:
+        return np.sign(E) * (np.abs(E) / norms[:, None]) ** (self.p - 1.0)
 
     def to_dict(self) -> dict:
         return {"type": self.kind, "p": float(self.p), "dim": int(self.dim)}
@@ -279,7 +286,10 @@ class QuadraticNorm(NormSpec, kind="quadratic"):
 
     def gradient_rows(self, E) -> Rows:
         E = as_rows(E, self.dim)
-        return (self.q @ E[:, :, None])[:, :, 0] / self.values(E)[:, None]
+        return self._gradient_rows(E, self.values(E))
+
+    def _gradient_rows(self, E: Rows, norms: Vector) -> Rows:
+        return (self.q @ E[:, :, None])[:, :, 0] / norms[:, None]
 
     def to_dict(self) -> dict:
         return {"type": self.kind, "q": self.q.tolist()}

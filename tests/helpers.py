@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from normgeom import LpNorm, QuadraticNorm
+from normgeom import (L1Norm, LInfNorm, LpNorm, PolyhedralNorm, ProductMaxNorm,
+                      QuadraticNorm)
 
 
 def central_diff_gradient(fn, x, step):
@@ -59,3 +60,47 @@ def generic_point(rng, dim, min_abs=0.05):
         x = rng.standard_normal(dim)
         if np.abs(x).min() >= min_abs:
             return x
+
+
+HEXAGON = PolyhedralNorm([[np.cos(a), np.sin(a)] for a in (0.0, np.pi / 3, 2 * np.pi / 3)])
+BLOCK_MAX = ProductMaxNorm(QuadraticNorm(np.eye(2)), LpNorm(4.0, 2))
+
+
+def _signed(rng, x):
+    """``x`` with random signs and coordinate order."""
+    return rng.permutation(np.asarray(x, dtype=float) * rng.choice([-1.0, 1.0], len(x)))
+
+
+def _unit(rng, spec):
+    d = rng.standard_normal(spec.dim)
+    return d / spec.value(d)
+
+
+def tie_point(family, rng, offset):
+    """A point of ``family`` at relative ``offset`` from its nearest corner.
+
+    Offset 0 gives an exact corner of the four families with corners: a
+    linf tie, an l1 zero coordinate, a hexagon vertex, equal block norms.
+    The smooth families ignore ``offset`` and give a generic point.
+    """
+    if family == "lp":
+        return LpNorm(4.0, 3), generic_point(rng, 3)
+    if family == "quadratic":
+        return QuadraticNorm(spd_matrix(rng, 3)), rng.standard_normal(3)
+    if family == "linf":
+        top = 1.0 - offset
+        return LInfNorm(3), _signed(rng, [1.0, top, top * rng.uniform(-0.9, 0.9)])
+    if family == "l1":
+        return L1Norm(3), _signed(rng, [rng.uniform(0.2, 1.0), 1.0, offset])
+    if family == "hexagon":
+        angle = np.pi / 6 + np.pi / 3 * rng.integers(6) + offset * rng.choice([-1.0, 1.0])
+        return HEXAGON, np.array([np.cos(angle), np.sin(angle)])
+    if family == "block_max":
+        blocks = [_unit(rng, BLOCK_MAX.left), _unit(rng, BLOCK_MAX.right)]
+        blocks[rng.integers(2)] *= 1.0 - offset
+        return BLOCK_MAX, np.concatenate(blocks)
+    raise ValueError(family)
+
+
+TIE_FAMILIES = ("linf", "l1", "hexagon", "block_max")
+FAMILIES = ("lp", "quadratic") + TIE_FAMILIES

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normgeom import (ChartDomainError, ConvergenceError, DecompositionError,
                       L1Norm, LInfNorm, LpNorm, NotDifferentiableError,
@@ -9,7 +11,7 @@ from normgeom import (ChartDomainError, ConvergenceError, DecompositionError,
                       projection_pair, scale_chart, sphere_chart_image_check,
                       tangent_frame)
 from normgeom.charts import chart_inverse_rows
-from helpers import fd_jacobian, generic_point, smooth_specs
+from helpers import FAMILIES, fd_jacobian, generic_point, smooth_specs, tie_point
 
 EUCLID2 = QuadraticNorm(np.eye(2))
 
@@ -221,6 +223,53 @@ def test_build_chart_keeps_its_radii():
     ]
     for spec, point, radius in near_ties:
         assert build_chart(spec, point).domain_radius == radius, type(spec).__name__
+
+
+def _boundary_targets(chart, rng, count):
+    """Targets at 0.9 of the domain radius along random tangent directions."""
+    C = rng.standard_normal((count, chart.frame.dim - 1)) @ chart.frame.basis
+    return C * (0.9 * chart.domain_radius / chart.spec.values(C))[:, None]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@given(seed=st.integers(0, 2**32 - 1), offset=st.floats(0.01, 0.3))
+@settings(max_examples=30, deadline=None)
+def test_default_chart_inverts_at_its_boundary(family, seed, offset):
+    # the property that lets build_chart skip a runtime radius test: Newton
+    # converges on every target 0.9 of the default radius away, also on a
+    # chart near a tie whose targets cross it
+    rng = np.random.default_rng(seed)
+    spec, point = tie_point(family, rng, offset)
+    chart = build_chart(spec, point)
+    assert chart.domain_radius == 0.25 * chart.base_norm
+    C = _boundary_targets(chart, rng, 8)
+    E, errors = chart_inverse_rows(chart, C)
+    assert errors == [None] * len(C)
+    assert spec.values(E) == pytest.approx(chart.base_norm, rel=1e-10)
+
+
+@pytest.mark.parametrize("spec,point", [(LpNorm(4.0, 3), [0.3, -0.5, 0.8]),
+                                        (QuadraticNorm([[2.0, 0.3], [0.3, 1.0]]), [0.6, -0.7])],
+                         ids=["lp", "quadratic"])
+def test_lockstep_newton_evaluates_each_iterate_once(monkeypatch, spec, point):
+    chart = build_chart(spec, point)
+    C = _boundary_targets(chart, np.random.default_rng(7), 6)
+    calls = []
+    values = type(spec).values
+
+    def spy(self, X):
+        calls.append(np.array(X))
+        return values(self, X)
+
+    monkeypatch.setattr(type(spec), "values", spy)
+    chart_inverse_rows(chart, C)
+    assert np.array_equal(calls[0], C)  # the domain check
+    assert np.array_equal(calls[1], chart.frame.base_point + C)  # the first iterate
+    # one call per iteration: residual and Jacobian share it, so no row
+    # evaluated by one call comes back in the next
+    assert len(calls) > 3
+    for before, after in zip(calls[1:], calls[2:]):
+        assert not (after[:, None, :] == before[None, :, :]).all(axis=2).any()
 
 
 @pytest.mark.parametrize("name,spec", smooth_specs()[:5])
