@@ -55,7 +55,7 @@ class TangentFrame:
         if self.gradient.coeffs.size != n:
             raise ValueError("gradient dimension mismatch")
         g_base = self.gradient.apply(base)
-        if abs(g_base) <= 1e-12 * max(1.0, float(np.linalg.norm(base))):
+        if abs(g_base) <= 1e-12 * np.linalg.norm(self.gradient.coeffs) * np.linalg.norm(base):
             raise ValueError("base point lies in the tangent hyperplane")
         tol = 1e-9 * max(1.0, abs(g_base))
         for row in basis:
@@ -139,17 +139,8 @@ class Chart:
         if self.base_norm <= 0.0:
             raise ValueError("base_norm must be positive")
 
-    @property
-    def model_basis(self) -> Array:
-        """Basis of the tangent hyperplane in which chart images live."""
-        return self.frame.basis
-
     def t_plus(self, r: float) -> Array:
         return (float(r) / self.base_norm) * self.frame.base_point
-
-    def model_coords(self, c) -> Array:
-        """Coordinates of a chart image with respect to ``model_basis``."""
-        return self.frame.basis @ as_vector(c, self.frame.dim)
 
 
 def _forward(chart: Chart, E: Array, norms: Array) -> Array:

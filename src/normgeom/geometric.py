@@ -114,17 +114,18 @@ def geometric_gradient(tangent: EstimatedTangent, spec: NormSpec) -> GeometricDe
     and sends the base point to its norm. Applied to any h = tau +
     lambda * e0 it returns lambda * |e0|: the component of h along the
     ray, measured in norm units. Raises DecompositionError if the base
-    point (numerically) lies inside the fitted hyperplane.
+    point (numerically) lies inside the fitted hyperplane. The base point
+    enters as e0 / |e0| with right-hand side 1, so the system's
+    conditioning does not depend on the scale of e0.
     """
     e0 = tangent.base_point
-    r = eval_norm(spec, e0)
-    system = np.vstack([tangent.basis, e0])
+    system = np.vstack([tangent.basis, e0 / eval_norm(spec, e0)])
     singular = np.linalg.svd(system, compute_uv=False)
     if singular[-1] <= 1e-10 * singular[0]:
         raise DecompositionError("base point lies in the estimated tangent; "
                                  "the estimation must have failed")
     rhs = np.zeros(e0.size)
-    rhs[-1] = r
+    rhs[-1] = 1.0
     coeffs = np.linalg.solve(system, rhs)
     return GeometricDerivative(GradientFunctional(coeffs, e0), tangent)
 

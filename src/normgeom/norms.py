@@ -100,23 +100,24 @@ class NormSpec:
         raise TypeError(f"no closed-form gradient for {type(self).__name__}")
 
     def gradient_rows(self, E) -> Rows:
-        """Derivative coefficients at every row of ``E``.
+        """Derivative coefficients at every row of ``E``."""
+        E = as_rows(E, self.dim)
+        return self._gradient_rows(E, self.values(E))
+
+    def _gradient_rows(self, E: Rows, norms: Vector) -> Rows:
+        """``gradient_rows`` at checked rows ``E`` whose norms are ``norms``.
 
         The closed form where it exists, the central-difference oracle at
         corners; families without corners override this with one stacked
-        closed form.
+        closed form, which takes the norms a caller already has.
         """
         rows = []
-        for e in as_rows(E, self.dim):
+        for e in E:
             try:
                 rows.append(analytic_gradient(self, e).coeffs)
             except NotDifferentiableError:
                 rows.append(fd_gradient(self, e).coeffs)
         return np.array(rows).reshape(-1, self.dim)
-
-    def _gradient_rows(self, E: Rows, norms: Vector) -> Rows:
-        """``gradient_rows`` at checked rows ``E`` whose norms are ``norms``."""
-        return self.gradient_rows(E)
 
     def to_dict(self) -> dict:
         raise TypeError(f"cannot serialize {type(self).__name__}")
@@ -173,10 +174,6 @@ class LpNorm(NormSpec, kind="lp"):
 
     def gradient_coeffs(self, e0: Vector) -> Vector:
         return np.sign(e0) * (np.abs(e0) / self.value(e0)) ** (self.p - 1.0)
-
-    def gradient_rows(self, E) -> Rows:
-        E = as_rows(E, self.dim)
-        return self._gradient_rows(E, self.values(E))
 
     def _gradient_rows(self, E: Rows, norms: Vector) -> Rows:
         return np.sign(E) * (np.abs(E) / norms[:, None]) ** (self.p - 1.0)
@@ -283,10 +280,6 @@ class QuadraticNorm(NormSpec, kind="quadratic"):
 
     def gradient_coeffs(self, e0: Vector) -> Vector:
         return self.q @ e0 / self.value(e0)
-
-    def gradient_rows(self, E) -> Rows:
-        E = as_rows(E, self.dim)
-        return self._gradient_rows(E, self.values(E))
 
     def _gradient_rows(self, E: Rows, norms: Vector) -> Rows:
         return (self.q @ E[:, :, None])[:, :, 0] / norms[:, None]
@@ -441,8 +434,8 @@ def analytic_gradient(spec: NormSpec, e0) -> GradientFunctional:
 
 
 def default_fd_step(spec: NormSpec, e0) -> float:
-    """Cube root of machine epsilon scaled by the point size."""
-    return float(np.cbrt(np.finfo(float).eps)) * max(1.0, eval_norm(spec, e0))
+    """Cube root of machine epsilon times the norm of the point."""
+    return float(np.cbrt(np.finfo(float).eps)) * eval_norm(spec, e0)
 
 
 def fd_gradient(spec: NormSpec, e0, step: float | None = None) -> GradientFunctional:
@@ -503,10 +496,14 @@ def classify_point(spec: NormSpec, e0, direction_budget: int | None = None, *,
     direction, the two one-sided slopes are negatives of each other and
     both agree with the central-difference gradient. Otherwise the worst
     violating direction is returned with its one-sided slopes.
+
+    The probes run at u = e0 / |e0|: slopes and the gradient have degree
+    0, so the verdict does not depend on the scale of ``e0``.
     """
     e0 = as_vector(e0, spec.dim)
     if not np.any(e0):
         raise ValueError("cannot classify the origin")
+    u = e0 / eval_norm(spec, e0)
     n = spec.dim
     if direction_budget is None:
         direction_budget = 2 * n
@@ -521,12 +518,12 @@ def classify_point(spec: NormSpec, e0, direction_budget: int | None = None, *,
         if length > 1e-12:
             directions.append(d / length)
 
-    grad = fd_gradient(spec, e0)
+    grad = fd_gradient(spec, u)
     worst_violation = -np.inf
     worst = None
     for v in directions:
-        d_plus = one_sided_derivative(spec, e0, v)
-        d_minus = one_sided_derivative(spec, e0, -v)
+        d_plus = one_sided_derivative(spec, u, v)
+        d_minus = one_sided_derivative(spec, u, -v)
         gap = d_plus + d_minus  # zero iff the two-sided derivative exists
         linearity = max(abs(d_plus - grad.apply(v)), abs(d_minus + grad.apply(v)))
         violation = max(abs(gap), linearity)
@@ -539,7 +536,7 @@ def classify_point(spec: NormSpec, e0, direction_budget: int | None = None, *,
         try:  # prefer the exact closed form; the fd oracle validated it above
             gradient = analytic_gradient(spec, e0)
         except NotDifferentiableError:
-            gradient = grad
+            gradient = GradientFunctional(grad.coeffs, e0)
         return SmoothnessVerdict(point=frozen_copy(e0), smooth=True,
                                  gradient=gradient, violation=worst_violation)
     return SmoothnessVerdict(point=frozen_copy(e0), smooth=False,

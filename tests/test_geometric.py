@@ -2,6 +2,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normgeom import (DecompositionError, EstimatedTangent, L1Norm, LInfNorm,
                       LpNorm, NonManifoldSuspected, QuadraticNorm,
@@ -10,7 +12,7 @@ from normgeom import (DecompositionError, EstimatedTangent, L1Norm, LInfNorm,
                       estimate_tangent, eval_norm, fd_gradient,
                       geometric_gradient, projection_pair, tangent_frame)
 from normgeom import charts, geometric
-from helpers import central_diff_gradient, generic_point, smooth_specs
+from helpers import FAMILIES, central_diff_gradient, generic_point, smooth_specs, tie_point
 
 EUCLID2 = QuadraticNorm(np.eye(2))
 
@@ -239,6 +241,18 @@ def test_roundtrip_classifies_once(monkeypatch, spec, point):
     monkeypatch.setattr(geometric, "classify_point", spy, raising=False)
     equivalence_roundtrip(spec, point)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@given(seed=st.integers(0, 2**32 - 1), corner=st.booleans(),
+       offset=st.floats(0.05, 0.3), decade=st.floats(-12.0, 12.0))
+@settings(max_examples=25, deadline=None)
+def test_roundtrip_verdict_is_scale_free(family, seed, corner, offset, decade):
+    spec, x = tie_point(family, np.random.default_rng(seed), 0.0 if corner else offset)
+    report = equivalence_roundtrip(spec, x)
+    scaled = equivalence_roundtrip(spec, 10.0 ** decade * x)
+    assert (scaled.smooth, scaled.verdict) == (report.smooth, report.verdict)
+    assert report.verdict == "consistent"
 
 
 def test_roundtrip_report_schema_keys():

@@ -10,7 +10,7 @@ from normgeom import (DEFAULT_STEP_SEQUENCE, L1Norm, LInfNorm, LpNorm,
                       one_sided_derivative, product_embed,
                       product_norm_constants, product_split, spec_from_dict,
                       spec_to_dict)
-from helpers import central_diff_gradient, generic_point, smooth_specs
+from helpers import FAMILIES, central_diff_gradient, generic_point, smooth_specs, tie_point
 
 EUCLID2 = QuadraticNorm(np.eye(2))
 
@@ -316,6 +316,23 @@ def test_classify_agrees_with_tie_oracle(dim):
         points.append(tied)
     for p in points:
         assert classify_point(spec, p).smooth == (not _linf_tie(p))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@given(seed=st.integers(0, 2**32 - 1), corner=st.booleans(),
+       offset=st.floats(0.05, 0.3), decade=st.floats(-12.0, 12.0))
+@settings(max_examples=40, deadline=None)
+def test_classify_verdict_is_scale_free(family, seed, corner, offset, decade):
+    # exact corners (ties, zero coordinates, equal blocks) and generic points
+    spec, x = tie_point(family, np.random.default_rng(seed), 0.0 if corner else offset)
+    t = 10.0 ** decade
+    verdict = classify_point(spec, x)
+    scaled = classify_point(spec, t * x)
+    assert scaled.smooth == verdict.smooth == (not corner or family in ("lp", "quadratic"))
+    assert np.array_equal(scaled.point, t * x)
+    if verdict.smooth:
+        assert np.array_equal(scaled.gradient.base_point, t * x)
+        assert scaled.gradient.coeffs == pytest.approx(verdict.gradient.coeffs, abs=1e-9)
 
 
 def test_classify_budget_validation():
