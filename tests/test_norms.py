@@ -10,7 +10,8 @@ from normgeom import (DEFAULT_STEP_SEQUENCE, L1Norm, LInfNorm, LpNorm,
                       one_sided_derivative, product_embed,
                       product_norm_constants, product_split, spec_from_dict,
                       spec_to_dict)
-from helpers import FAMILIES, central_diff_gradient, generic_point, smooth_specs, tie_point
+from helpers import (FAMILIES, TIE_FAMILIES, central_diff_gradient, generic_point,
+                     smooth_specs, tie_point)
 
 EUCLID2 = QuadraticNorm(np.eye(2))
 
@@ -328,7 +329,7 @@ def test_classify_verdict_is_scale_free(family, seed, corner, offset, decade):
     t = 10.0 ** decade
     verdict = classify_point(spec, x)
     scaled = classify_point(spec, t * x)
-    assert scaled.smooth == verdict.smooth == (not corner or family in ("lp", "quadratic"))
+    assert scaled.smooth == verdict.smooth == (not corner or family not in TIE_FAMILIES)
     assert np.array_equal(scaled.point, t * x)
     if verdict.smooth:
         assert np.array_equal(scaled.gradient.base_point, t * x)
