@@ -22,8 +22,8 @@ from ._linalg import (Array, frozen_copy, oblique_projection,
                       orthonormal_complement, sized_directions)
 from .errors import (ChartDomainError, ConvergenceError, DecompositionError,
                      GeometryError, NotDifferentiableError)
-from .norms import (CLASSIFY_TOL, GradientFunctional, NormSpec, as_rows, as_vector,
-                    classify_point, eval_norm)
+from .norms import (GradientFunctional, NormSpec, as_rows, as_vector, classify_point,
+                    eval_norm)
 
 #: Slack applied to domain-membership checks, relative to the radius.
 _DOMAIN_SLACK = 1e-9
@@ -52,15 +52,14 @@ class TangentFrame:
             basis = basis.reshape(0, 1)
         if basis.shape != (n - 1, n):
             raise ValueError(f"basis must have shape {(n - 1, n)}, got {basis.shape}")
-        if self.gradient.coeffs.size != n:
+        g = self.gradient.coeffs
+        if g.size != n:
             raise ValueError("gradient dimension mismatch")
-        g_base = self.gradient.apply(base)
-        if abs(g_base) <= 1e-12 * np.linalg.norm(self.gradient.coeffs) * np.linalg.norm(base):
+        g_len = np.linalg.norm(g)
+        if abs(g @ base) <= 1e-12 * g_len * np.linalg.norm(base):
             raise ValueError("base point lies in the tangent hyperplane")
-        tol = 1e-9 * max(1.0, abs(g_base))
-        for row in basis:
-            if abs(self.gradient.apply(row)) > tol:
-                raise ValueError("basis vector not annihilated by the gradient")
+        if not np.all(np.abs(basis @ g) <= 1e-9 * g_len * np.linalg.norm(basis, axis=1)):
+            raise ValueError("basis vector not annihilated by the gradient")
         if n > 1 and np.linalg.matrix_rank(basis) < n - 1:
             raise ValueError("tangent basis is rank deficient")
         object.__setattr__(self, "base_point", base)
@@ -89,8 +88,7 @@ class ProjectionPair:
         object.__setattr__(self, "onto_tangent", frozen_copy(self.onto_tangent))
 
 
-def tangent_frame(spec: NormSpec, e0, *, direction_budget: int | None = None,
-                  tol: float = CLASSIFY_TOL, seed: int = 0) -> TangentFrame:
+def tangent_frame(spec: NormSpec, e0, *, seed: int = 0) -> TangentFrame:
     """Tangent frame of the sphere through ``e0``.
 
     Requires a smooth point; the classifier runs first and a corner
@@ -99,7 +97,7 @@ def tangent_frame(spec: NormSpec, e0, *, direction_budget: int | None = None,
     elimination so near-axis gradients stay well conditioned.
     """
     e0 = as_vector(e0, spec.dim)
-    verdict = classify_point(spec, e0, direction_budget, tol=tol, seed=seed)
+    verdict = classify_point(spec, e0, seed=seed)
     if not verdict.smooth:
         raise NotDifferentiableError(
             f"no tangent frame at a non-smooth point (violation "
@@ -167,24 +165,18 @@ def chart_forward(chart: Chart, e) -> Array:
     return chart_forward_rows(chart, as_vector(e, chart.frame.dim)[None])[0]
 
 
-def _newton_steps(chart: Chart, E: Array, norms: Array, residuals: Array) -> Array:
-    """Newton corrections at the rows of ``E``; raises if any system fails."""
-    G = chart.spec._gradient_rows(E, norms)
-    base = chart.frame.base_point
-    jac = chart.projections.onto_tangent + base[:, None] * G[:, None, :] / chart.base_norm
-    return np.linalg.solve(jac, residuals[:, :, None])[:, :, 0]
-
-
 def chart_inverse_rows(chart: Chart, C) -> tuple[Array, list[GeometryError | None]]:
     """Invert the chart at every row of ``C`` by one lockstep Newton iteration.
 
-    All rows iterate together and each retires once its residual meets
-    the target. A row fails alone: outside the domain radius
-    (ChartDomainError), or stalled, at a singular Jacobian or at a
+    Newton runs along the base ray only: the first iterate e0 + c already
+    has the exact tangent part P_T c, and every step moves along e0 by the
+    ray part of the residual over the slope g_E(e0) of the norm there (see
+    ``build_chart``). All rows iterate together, and each retires once its
+    residual is at most 1e-12 * |e0|. A row fails alone: outside the
+    domain radius (ChartDomainError), or stalled, at a zero slope or at a
     non-finite iterate (ConvergenceError). Each iteration evaluates the
-    norm of its iterates once, for the residual and the Jacobian alike.
-    Returns the preimages, NaN on failed rows, and per row its error or
-    None.
+    norm of its iterates once. Returns the preimages, NaN on failed rows,
+    and per row its error or None.
     """
     C = as_rows(C, chart.frame.dim)
     k = C.shape[0]
@@ -192,7 +184,9 @@ def chart_inverse_rows(chart: Chart, C) -> tuple[Array, list[GeometryError | Non
     for i in np.flatnonzero(chart.spec.values(C) > chart.domain_radius * (1.0 + _DOMAIN_SLACK)):
         errors[i] = ChartDomainError("chart coordinates outside the domain radius")
     base = chart.frame.base_point
-    scale = max(1.0, float(np.linalg.norm(base)))
+    g0 = chart.frame.gradient.coeffs
+    g0_base = chart.frame.gradient.apply(base)
+    scale = float(np.linalg.norm(base))
     E = base + C
     out = np.full_like(C, np.nan)
     best_res = np.full(k, np.inf)
@@ -215,19 +209,14 @@ def chart_inverse_rows(chart: Chart, C) -> tuple[Array, list[GeometryError | Non
         done = res <= 1e-12 * scale
         out[active[done]] = Ea[done]
         active, Ea, norms, residuals = active[~done], Ea[~done], norms[~done], residuals[~done]
-        try:
-            E[active] = Ea - _newton_steps(chart, Ea, norms, residuals)
-        except (np.linalg.LinAlgError, ValueError):
-            # step row by row to find the failing systems; the rest step as usual
-            stepped = np.ones(active.size, dtype=bool)
-            for j, i in enumerate(active):
-                try:
-                    E[i] = Ea[j] - _newton_steps(chart, Ea[j:j + 1], norms[j:j + 1],
-                                                 residuals[j:j + 1])[0]
-                except (np.linalg.LinAlgError, ValueError) as exc:
-                    errors[i] = ConvergenceError(f"newton step failed: {exc}")
-                    stepped[j] = False
-            active = active[stepped]
+        slope = chart.spec._gradient_rows(Ea, norms) @ base
+        usable = slope != 0.0
+        for i in active[~usable]:
+            errors[i] = ConvergenceError("newton step failed: zero slope along the ray")
+        active, Ea, residuals, slope = (active[usable], Ea[usable], residuals[usable],
+                                        slope[usable])
+        step = chart.base_norm * (residuals @ g0) / g0_base / slope
+        E[active] = Ea - step[:, None] * base
     for i in active:  # out of iterations: keep the best iterate if close enough
         if best_res[i] > 1e-10 * scale:
             errors[i] = ConvergenceError(
@@ -238,14 +227,11 @@ def chart_inverse_rows(chart: Chart, C) -> tuple[Array, list[GeometryError | Non
 
 
 def chart_inverse(chart: Chart, c) -> Array:
-    """Invert the chart by Newton iteration on phi(e) = c.
+    """Invert the chart by Newton iteration on phi(e) = c along the base ray.
 
-    The Jacobian of the forward map is the tangent projection plus the
-    rank-one update from the norm term, and equals the identity at the
-    base point, so the iteration starts in its contraction region for
-    small ``c``. Raises ConvergenceError when 50 iterations fail to reach
-    the residual target, the sign of a too-large domain radius. The
-    one-row case of ``chart_inverse_rows``.
+    Raises ConvergenceError when 50 iterations fail to reach the residual
+    target, the sign of a too-large domain radius. The one-row case of
+    ``chart_inverse_rows``.
     """
     E, (error,) = chart_inverse_rows(chart, as_vector(c, chart.frame.dim)[None])
     if error is not None:
@@ -254,7 +240,7 @@ def chart_inverse(chart: Chart, c) -> Array:
 
 
 def build_chart(spec: NormSpec, e0, domain_radius: float | None = None, *,
-                direction_budget: int | None = None, seed: int = 0) -> Chart:
+                seed: int = 0) -> Chart:
     """Construct the chart at ``e0``.
 
     An explicit ``domain_radius`` is used as given. The default is a
@@ -263,7 +249,9 @@ def build_chart(spec: NormSpec, e0, domain_radius: float | None = None, *,
     test:
 
     - the Jacobian is J = P_T + e0 g^T / |e0| with P_T e0 = 0, so
-      P_T J = P_T and Newton keeps the tangent part of the iterate exact;
+      P_T J = P_T: the start e0 + c has the exact tangent part P_T c,
+      and every Newton step moves along e0 alone, which is how
+      ``chart_inverse_rows`` steps;
     - what remains is 1-D Newton on the convex map s -> |(1+s)e0 + c|
       from s = 0, where its slope is at least |e0| - 2|c| > 0 (the
       subgradient inequality |y - e0| >= |y| - g_y(e0) at y = e0 + c);
@@ -275,7 +263,7 @@ def build_chart(spec: NormSpec, e0, domain_radius: float | None = None, *,
     A row that fails anyway stays visible as its error in
     ``chart_inverse_rows``.
     """
-    frame = tangent_frame(spec, e0, direction_budget=direction_budget, seed=seed)
+    frame = tangent_frame(spec, e0, seed=seed)
     r = eval_norm(spec, frame.base_point)
     if domain_radius is None:
         domain_radius = 0.25 * r
@@ -316,20 +304,19 @@ def sphere_chart_image_check(spec: NormSpec, chart: Chart, samples: int = 64, *,
     (vanishing ray component), and tangent vectors must map back onto the
     sphere (vanishing norm defect). Violations are collected into the
     report together with the offending points; nothing is raised.
-    Components are measured relative to max(1, sphere radius).
+    Components are measured relative to the sphere radius.
     """
     e0 = chart.frame.base_point
     n = e0.size
     r = chart.base_norm
     rng = np.random.default_rng(seed)
     rho = 0.4 * chart.domain_radius
-    ref = max(1.0, r)
     failures: list[dict] = []
 
     D, U = sized_directions(rng, samples, n, 0.05)
     E = e0 + D * (rho * U / spec.values(D))[:, None]
     E *= (r / spec.values(E))[:, None]
-    ray = np.abs(chart_forward_rows(chart, E) @ chart.frame.gradient.coeffs) / ref
+    ray = np.abs(chart_forward_rows(chart, E) @ chart.frame.gradient.coeffs) / r
     for e, value in zip(E, ray):
         if value > ray_tol:
             failures.append({"kind": "ray_component", "point": e.tolist(),
@@ -342,7 +329,7 @@ def sphere_chart_image_check(spec: NormSpec, chart: Chart, samples: int = 64, *,
         C *= (rho * U / spec.values(C))[:, None]
         E, errors = chart_inverse_rows(chart, C)
         inverted = np.array([err is None for err in errors], dtype=bool)
-        defect = np.abs(spec.values(E[inverted]) - r) / ref
+        defect = np.abs(spec.values(E[inverted]) - r) / r
         defects = iter(defect)
         for c, e, err in zip(C, E, errors):
             if err is not None:

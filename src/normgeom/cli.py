@@ -189,7 +189,7 @@ def _cmd_chart(request: AnalysisRequest, point, seed: int):
     D, sizes = sized_directions(np.random.default_rng(seed), samples, spec.dim, 0.05)
     E = chart.frame.base_point + D * (0.5 * chart.domain_radius * sizes / spec.values(D))[:, None]
     C = chart_forward_rows(chart, E)
-    form = np.abs(spec.values(E) - C @ chart.frame.gradient.coeffs - r) / max(1.0, r)
+    form = np.abs(spec.values(E) - C @ chart.frame.gradient.coeffs - r) / r
     max_form = float(form.max(initial=0.0))
     # an image beyond the domain radius has no checked preimage: the check fails
     back, errors = chart_inverse_rows(chart, C)
@@ -197,8 +197,7 @@ def _cmd_chart(request: AnalysisRequest, point, seed: int):
     for err in errors:
         if err is not None and not isinstance(err, ChartDomainError):
             raise err
-    roundtrip = (np.linalg.norm(back - E, axis=1)
-                 / np.maximum(1.0, np.linalg.norm(E, axis=1)))[~outside]
+    roundtrip = (np.linalg.norm(back - E, axis=1) / np.linalg.norm(E, axis=1))[~outside]
     max_round = float(roundtrip.max(initial=0.0))
     left = int(outside.sum())
     ok = image.passed and max_form <= 1e-9 and max_round <= 1e-10 and left == 0

@@ -246,8 +246,7 @@ class GeometricCheck:
 
 
 def geometric_check(spec: NormSpec, e0, *, sample_radius: float | None = None,
-                    gradient_tol: float | None = None, samples: int | None = None,
-                    seed: int = 0) -> GeometricCheck:
+                    gradient_tol: float | None = None, seed: int = 0) -> GeometricCheck:
     """Estimate the tangent at ``e0``, rebuild the derivative, compare with fd.
 
     Defaults: ``sample_radius`` = 1e-3 * |e0|, ``gradient_tol`` =
@@ -262,7 +261,7 @@ def geometric_check(spec: NormSpec, e0, *, sample_radius: float | None = None,
     if gradient_tol is None:
         gradient_tol = 10.0 * sample_radius / r
     try:
-        tangent = estimate_tangent(spec, e0, sample_radius, samples, seed=seed)
+        tangent = estimate_tangent(spec, e0, sample_radius, seed=seed)
     except EstimationError as exc:  # NonManifoldSuspected included
         return GeometricCheck(gradient_tol, exc)
     grad_geom = geometric_gradient(tangent, spec).functional.coeffs
@@ -272,8 +271,7 @@ def geometric_check(spec: NormSpec, e0, *, sample_radius: float | None = None,
 
 
 def equivalence_roundtrip(spec: NormSpec, e0, *, sample_radius: float | None = None,
-                          samples: int | None = None, seed: int = 0,
-                          gradient_tol: float | None = None) -> RoundtripReport:
+                          seed: int = 0, gradient_tol: float | None = None) -> RoundtripReport:
     """Run both derivative routes at ``e0`` and cross-check them.
 
     Route one: build the chart, whose tangent frame classifies the point,
@@ -286,7 +284,7 @@ def equivalence_roundtrip(spec: NormSpec, e0, *, sample_radius: float | None = N
     """
     e0 = as_vector(e0, spec.dim)
     geo = geometric_check(spec, e0, sample_radius=sample_radius,
-                          gradient_tol=gradient_tol, samples=samples, seed=seed)
+                          gradient_tol=gradient_tol, seed=seed)
     smooth = True
     chart_residual = None
     chart_ok = False

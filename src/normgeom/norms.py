@@ -487,15 +487,15 @@ def one_sided_derivative(spec: NormSpec, e0, v,
     return extrapolate_to_zero(steps, quotients)
 
 
-def classify_point(spec: NormSpec, e0, direction_budget: int | None = None, *,
-                   tol: float = CLASSIFY_TOL, seed: int = 0) -> SmoothnessVerdict:
+def classify_point(spec: NormSpec, e0, *, tol: float = CLASSIFY_TOL,
+                   seed: int = 0) -> SmoothnessVerdict:
     """Decide whether the norm is differentiable at ``e0`` by probing slopes.
 
-    Probes the coordinate directions plus seeded random directions, up to
-    ``direction_budget`` in total. A point is smooth when, in every probed
-    direction, the two one-sided slopes are negatives of each other and
-    both agree with the central-difference gradient. Otherwise the worst
-    violating direction is returned with its one-sided slopes.
+    Probes the n coordinate directions plus n random directions drawn from
+    ``seed``. A point is smooth when, in every probed direction, the two
+    one-sided slopes are negatives of each other and both agree with the
+    central-difference gradient. Otherwise the worst violating direction
+    is returned with its one-sided slopes.
 
     The probes run at u = e0 / |e0|: slopes and the gradient have degree
     0, so the verdict does not depend on the scale of ``e0``.
@@ -505,14 +505,10 @@ def classify_point(spec: NormSpec, e0, direction_budget: int | None = None, *,
         raise ValueError("cannot classify the origin")
     u = e0 / eval_norm(spec, e0)
     n = spec.dim
-    if direction_budget is None:
-        direction_budget = 2 * n
-    if direction_budget < 2 * n:
-        raise ValueError(f"direction_budget must be >= {2 * n}")
 
     rng = np.random.default_rng(seed)
     directions = [np.eye(n)[i] for i in range(n)]
-    while len(directions) < direction_budget:
+    while len(directions) < 2 * n:
         d = rng.standard_normal(n)
         length = np.linalg.norm(d)
         if length > 1e-12:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from normgeom import (ChartDomainError, ConvergenceError, DecompositionError,
                       L1Norm, LInfNorm, LpNorm, NotDifferentiableError,
-                      PolyhedralNorm, ProductMaxNorm, QuadraticNorm,
+                      PolyhedralNorm, ProductMaxNorm, QuadraticNorm, TangentFrame,
                       alpha_operator, build_chart, chart_forward, chart_inverse,
                       eval_norm, fd_gradient, projection_continuity_probe,
                       projection_pair, scale_chart, sphere_chart_image_check,
@@ -52,6 +52,22 @@ def test_frame_gradient_annihilates_basis(name, spec):
     frame = tangent_frame(spec, generic_point(rng, spec.dim))
     for row in frame.basis:
         assert abs(frame.gradient.apply(row)) <= 1e-9
+
+
+@pytest.mark.parametrize("name,spec", smooth_specs())
+@given(seed=st.integers(0, 2**32 - 1), exponent=st.integers(-12, 12))
+@settings(max_examples=25, deadline=None)
+def test_tangent_frame_rejects_a_tilted_basis_at_every_scale(name, spec, seed, exponent):
+    # the annihilation test is relative to |g| and |row|, not to |g(e0)|,
+    # which grows with the scale of the point
+    point = 10.0 ** exponent * generic_point(np.random.default_rng(seed), spec.dim)
+    frame = tangent_frame(spec, point)
+    g = frame.gradient.coeffs
+    tilted = frame.basis.copy()
+    tilted[0] += 1e-6 * g / np.linalg.norm(g)
+    with pytest.raises(ValueError, match="not annihilated"):
+        TangentFrame(point, tilted, frame.gradient)
+    TangentFrame(point, frame.basis, frame.gradient)
 
 
 # -------------------------------------------------------------- projections
@@ -246,6 +262,21 @@ def test_default_chart_inverts_at_its_boundary(family, seed, offset):
     E, errors = chart_inverse_rows(chart, C)
     assert errors == [None] * len(C)
     assert spec.values(E) == pytest.approx(chart.base_norm, rel=1e-10)
+
+
+@pytest.mark.parametrize("name,spec", smooth_specs())
+@given(seed=st.integers(0, 2**32 - 1), exponent=st.integers(-12, 12))
+@settings(max_examples=25, deadline=None)
+def test_default_chart_inverts_at_every_scale(name, spec, seed, exponent):
+    # Newton's residual target and the image check are relative to |e0|,
+    # so a chart at 1e-12 * x is inverted as accurately as one at x
+    rng = np.random.default_rng(seed)
+    chart = build_chart(spec, 10.0 ** exponent * generic_point(rng, spec.dim))
+    C = _boundary_targets(chart, rng, 8)
+    E, errors = chart_inverse_rows(chart, C)
+    assert errors == [None] * len(C)
+    assert spec.values(E) == pytest.approx(chart.base_norm, rel=1e-10, abs=0.0)
+    assert sphere_chart_image_check(spec, chart, samples=16, seed=seed).passed
 
 
 @pytest.mark.parametrize("spec,point", [(LpNorm(4.0, 3), [0.3, -0.5, 0.8]),

@@ -338,8 +338,6 @@ def test_classify_verdict_is_scale_free(family, seed, corner, offset, decade):
 
 def test_classify_budget_validation():
     with pytest.raises(ValueError):
-        classify_point(EUCLID2, [1.0, 0.0], direction_budget=2)
-    with pytest.raises(ValueError):
         classify_point(EUCLID2, [0.0, 0.0])
 
 
