@@ -54,17 +54,12 @@ def sized_directions(rng: np.random.Generator, samples: int, dim: int,
                      low: float) -> tuple[Array, Array]:
     """Seeded directions in R^dim as rows, each with a size drawn from [low, 1).
 
-    Draws one direction and then its size, sample by sample, so the stacks
-    hold the numbers a one-sample-at-a-time loop would draw. A zero
-    direction is dropped before its size is drawn.
+    One standard-normal draw of all directions, then one uniform draw of
+    the sizes of those that are nonzero; zero directions are dropped.
     """
-    directions, sizes = [], []
-    for _ in range(samples):
-        d = rng.standard_normal(dim)
-        if np.count_nonzero(d):
-            directions.append(d)
-            sizes.append(rng.uniform(low, 1.0))
-    return np.array(directions).reshape(-1, dim), np.array(sizes)
+    directions = rng.standard_normal((samples, dim))
+    directions = directions[np.any(directions, axis=1)]
+    return directions, rng.uniform(low, 1.0, len(directions))
 
 
 def extrapolate_to_zero(steps, values) -> float:

@@ -93,7 +93,12 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return _dump_json(self.to_dict())
+
+
+def _dump_json(payload: dict) -> str:
+    """A report payload as sorted, indented JSON text with a trailing newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _load_schema() -> dict:
@@ -102,7 +107,11 @@ def _load_schema() -> dict:
 
 
 def validate_report(report: dict) -> None:
-    jsonschema.validate(report, _load_schema())
+    """Raise the best-matching ``ValidationError`` if ``report`` breaks the schema."""
+    error = jsonschema.exceptions.best_match(
+        jsonschema.Draft202012Validator(_load_schema()).iter_errors(report))
+    if error is not None:
+        raise error
 
 
 def _fmt_vec(v) -> str:
@@ -436,7 +445,7 @@ def run_cli(argv=None) -> int:
         for line in lines:
             print(line)
         if args.out:
-            Path(args.out).write_text(report.to_json(), encoding="utf-8")
+            Path(args.out).write_text(_dump_json(payload), encoding="utf-8")
         if args.csv:
             emit_plot_data(payload, args.csv)
         return 0 if payload["summary"]["all_passed"] else 1

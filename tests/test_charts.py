@@ -10,6 +10,7 @@ from normgeom import (ChartDomainError, ConvergenceError, DecompositionError,
                       eval_norm, fd_gradient, projection_continuity_probe,
                       projection_pair, scale_chart, sphere_chart_image_check,
                       tangent_frame)
+from normgeom._linalg import sized_directions
 from normgeom.charts import chart_inverse_rows
 from helpers import FAMILIES, fd_jacobian, generic_point, smooth_specs, tie_point
 
@@ -352,21 +353,46 @@ def test_sphere_image_check_reports_failures_without_raising():
     assert "point" in report.failures[0]
 
 
-def test_image_check_draws_its_samples_one_at_a_time():
-    # a negative tolerance fails every forward sample, so the report lists
-    # them all: the points a per-sample loop of scalar evaluations draws
+class _ZeroRowGenerator:
+    """A generator whose normal draw holds an all-zero row."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def standard_normal(self, shape):
+        draw = self.rng.standard_normal(shape)
+        draw[1] = 0.0
+        return draw
+
+    def uniform(self, low, high, size):
+        return self.rng.uniform(low, high, size)
+
+
+def test_sized_directions_is_one_seeded_draw():
+    D, U = sized_directions(np.random.default_rng(3), 8, 2, 0.05)
+    again = sized_directions(np.random.default_rng(3), 8, 2, 0.05)
+    assert np.array_equal(D, again[0]) and np.array_equal(U, again[1])
+    other = sized_directions(np.random.default_rng(4), 8, 2, 0.05)
+    assert not np.array_equal(D, other[0]) and not np.array_equal(U, other[1])
+    assert np.all((0.05 <= U) & (U < 1.0))
+    rng = np.random.default_rng(3)
+    assert np.array_equal(D, rng.standard_normal((8, 2)))
+    assert np.array_equal(U, rng.uniform(0.05, 1.0, 8))
+    # a zero direction is dropped before the sizes are drawn
+    D, U = sized_directions(_ZeroRowGenerator(5), 6, 3, 0.5)
+    rng = np.random.default_rng(5)
+    assert np.array_equal(D, np.delete(rng.standard_normal((6, 3)), 1, axis=0))
+    assert np.array_equal(U, rng.uniform(0.5, 1.0, 5))
+    # a negative tolerance fails every forward sample of the image check, so
+    # its report lists the sphere points built from that one draw
     spec = LpNorm(4.0, 2)
     chart = build_chart(spec, [0.6, 0.8])
     report = sphere_chart_image_check(spec, chart, samples=8, seed=3, ray_tol=-1.0)
-    rng = np.random.default_rng(3)
-    expected = []
-    for _ in range(8):
-        d = rng.standard_normal(2)
-        e = chart.frame.base_point + d * (0.4 * chart.domain_radius
-                                          * rng.uniform(0.05, 1.0) / eval_norm(spec, d))
-        expected.append(e * (chart.base_norm / eval_norm(spec, e)))
+    D, U = sized_directions(np.random.default_rng(3), 8, 2, 0.05)
+    E = chart.frame.base_point + D * (0.4 * chart.domain_radius * U / spec.values(D))[:, None]
+    expected = E * (chart.base_norm / spec.values(E))[:, None]
     got = [f["point"] for f in report.failures if f["kind"] == "ray_component"]
-    assert np.allclose(got, expected, rtol=1e-15, atol=0.0)
+    assert np.array_equal(got, expected)
 
 
 def test_image_check_reports_a_failing_inverse_alone():

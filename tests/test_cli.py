@@ -4,12 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
 import normgeom
 from normgeom import (AnalysisRequest, QuadraticNorm, emit_plot_data,
                       run_request, spec_from_dict)
+from normgeom import cli
 from normgeom.cli import run_cli, validate_report
 
 
@@ -244,6 +246,36 @@ def test_report_validates_against_schema_and_pairs_unique():
     validate_report(payload)
     pairs = [(tuple(r["point"]), r["command"]) for r in payload["results"]]
     assert len(pairs) == len(set(pairs)) == 4
+
+
+def test_shipped_schema_is_valid_2020_12():
+    jsonschema.Draft202012Validator.check_schema(cli._load_schema())
+
+
+@pytest.mark.parametrize("breakage", ["missing summary", "seed as text"])
+def test_validate_report_raises_what_jsonschema_validate_raises(breakage):
+    request = AnalysisRequest(norm=QuadraticNorm(np.eye(2)), points=[[0.6, 0.8]],
+                              commands=("classify",))
+    payload = run_request(request)[0].to_dict()
+    if breakage == "missing summary":
+        del payload["summary"]
+    else:
+        payload["seed"] = "0"
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(payload, cli._load_schema())
+    with pytest.raises(jsonschema.ValidationError) as got:
+        validate_report(payload)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+    assert got.value.message == expected.value.message
+
+
+def test_out_file_holds_the_report_json(circle_spec, tmp_path):
+    out = tmp_path / "report.json"
+    assert run_cli(["classify", circle_spec, "--point", "0.6,0.8", "--out", str(out)]) == 0
+    request = AnalysisRequest(norm=QuadraticNorm(np.eye(2)), points=[[0.6, 0.8]],
+                              commands=("classify",))
+    assert out.read_text(encoding="utf-8") == run_request(request)[0].to_json()
 
 
 def test_request_rejects_unknown_command():

@@ -224,6 +224,49 @@ def test_fd_step_validation():
         fd_gradient(EUCLID2, [0.0, 0.0])
 
 
+def _fd_gradient_loop(spec, x):
+    """Reference: the central differences one coordinate at a time."""
+    step = float(np.cbrt(np.finfo(float).eps)) * spec.value(x)
+    return central_diff_gradient(spec.value, x, step)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fd_gradient_stack_matches_the_coordinate_loop(family):
+    # l^p rows of ``values`` may differ from ``value`` by 1 ulp, so the
+    # stacked differences move by rounding only
+    rng = np.random.default_rng(41)
+    for corner in (False, True):
+        for decade in (-6.0, -3.0, 0.0, 3.0, 6.0):
+            spec, x = tie_point(family, rng, 0.0 if corner else 0.2)
+            x = 10.0 ** decade * x
+            expected = _fd_gradient_loop(spec, x)
+            got = fd_gradient(spec, x).coeffs
+            tol = 1e-10 * max(1.0, float(np.abs(expected).max()))
+            np.testing.assert_allclose(got, expected, rtol=0.0, atol=tol)
+
+
+def test_fd_gradient_evaluates_one_stack(monkeypatch):
+    spec = LpNorm(4.0, 3)
+    stacks, scalars = [], []
+    values, value = LpNorm.values, LpNorm.value
+
+    def spy_values(self, X):
+        stacks.append(np.shape(X))
+        return values(self, X)
+
+    def spy_value(self, x):
+        scalars.append(np.shape(x))
+        return value(self, x)
+
+    monkeypatch.setattr(LpNorm, "values", spy_values)
+    monkeypatch.setattr(LpNorm, "value", spy_value)
+    fd_gradient(spec, [0.3, -0.5, 0.8])
+    # one stack of the 2n shifted rows; the one scalar call is the norm
+    # of the point, which sets the step
+    assert stacks == [(6, 3)]
+    assert scalars == [(3,)]
+
+
 @pytest.mark.parametrize("spec,point", [
     (QuadraticNorm([[2.0, 0.4], [0.4, 1.0]]), [0.8, -0.5]),
     (LpNorm(4.0, 2), [1.3, 0.7]),
@@ -255,6 +298,21 @@ def test_one_sided_along_the_ray_is_the_norm(name, spec):
     e0 = generic_point(rng, spec.dim)
     d = one_sided_derivative(spec, e0, e0)
     assert d == pytest.approx(eval_norm(spec, e0), rel=1e-9)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@given(seed=st.integers(0, 2**32 - 1), corner=st.booleans(),
+       decade=st.floats(-12.0, 12.0))
+@settings(max_examples=40, deadline=None)
+def test_one_sided_slope_is_scale_free(family, seed, corner, decade):
+    # slopes have degree 0, and the default steps scale with |e0|_2
+    rng = np.random.default_rng(seed)
+    spec, x = tie_point(family, rng, 0.0 if corner else 0.2)
+    v = rng.standard_normal(spec.dim)
+    t = 10.0 ** decade
+    for w in (v, -v):
+        assert one_sided_derivative(spec, t * x, w) == pytest.approx(
+            one_sided_derivative(spec, x, w), rel=0.0, abs=1e-8)
 
 
 def test_one_sided_step_sequence_validation():
