@@ -306,6 +306,8 @@ def sphere_chart_image_check(spec: NormSpec, chart: Chart, samples: int = 64, *,
     report together with the offending points; nothing is raised.
     Components are measured relative to the sphere radius.
     """
+    if samples < 1:
+        raise ValueError("samples must be positive")
     e0 = chart.frame.base_point
     n = e0.size
     r = chart.base_norm
@@ -460,14 +462,14 @@ def projection_continuity_probe(spec: NormSpec, e0, deltas=None, *,
         deltas = [d * (r * 10.0 ** (-k)) for k in range(1, decades + 1)]
     else:
         deltas = [as_vector(d, spec.dim) for d in deltas]
-        sizes = [eval_norm(spec, d) for d in deltas]
-        if any(a <= b for a, b in zip(sizes, sizes[1:])):
-            raise ValueError("deltas must be strictly decreasing in norm")
+    sizes = spec.values(np.reshape(deltas, (-1, spec.dim)))
+    if np.any(sizes[:-1] <= sizes[1:]):
+        raise ValueError("deltas must be strictly decreasing in norm")
 
     reference = projection_pair(tangent_frame(spec, e0, seed=seed)).onto_ray
     rows = []
-    for delta in deltas:
+    for delta, size in zip(deltas, sizes):
         pair = projection_pair(tangent_frame(spec, e0 + delta, seed=seed))
         diff = float(np.linalg.norm(pair.onto_ray - reference, 2))
-        rows.append(ProbeRow(eval_norm(spec, delta), diff))
+        rows.append(ProbeRow(float(size), diff))
     return rows

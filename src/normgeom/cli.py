@@ -29,7 +29,7 @@ from .charts import build_chart, chart_forward_rows, chart_inverse_rows, \
 from .errors import ChartDomainError, GeometryError, NotDifferentiableError
 from .geometric import equivalence_roundtrip, geometric_check
 from .norms import (CLASSIFY_TOL, NormSpec, analytic_gradient, as_vector,
-                    classify_point, eval_norm, fd_gradient, spec_from_dict)
+                    classify_point, fd_gradient, spec_from_dict)
 
 COMMANDS = ("grad", "classify", "chart", "probe", "roundtrip", "sphere-sample")
 
@@ -255,16 +255,11 @@ def _cmd_roundtrip(request: AnalysisRequest, point, seed: int):
 
 def _cmd_sphere_sample(request: AnalysisRequest, seed: int):
     spec = request.norm
-    rng = np.random.default_rng(seed)
     count = int(request.option("count"))
-    points = []
-    while len(points) < count:
-        x = rng.standard_normal(spec.dim)
-        r = eval_norm(spec, x)
-        if r == 0.0:
-            continue
-        points.append((x / r).tolist())
-    result = {"samples": points}
+    if count < 1:
+        raise ValueError("count must be positive")
+    X = np.random.default_rng(seed).standard_normal((count, spec.dim))
+    result = {"samples": (X / spec.values(X)[:, None]).tolist()}
     lines = [f"sphere-sample: {count} points on the unit sphere"]
     return result, True, None, lines
 

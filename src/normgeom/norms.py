@@ -1,8 +1,10 @@
 """Norms on R^n: evaluation, derivatives, and smoothness classification.
 
-Each norm family is one value class holding its norm (of one vector with
-``value``, of every row of a stack with ``values``), closed-form
-derivative and JSON form. Derivatives come in two independent flavors:
+Each norm family is one value class holding its norm formula, written
+once as ``values`` over every row of a (k, n) stack, its closed-form
+derivative and its JSON form. ``value`` of one vector is the one-row
+case of ``values``, so a scalar and a stacked evaluation of the same
+vector agree bit for bit. Derivatives come in two independent flavors:
 closed forms where the family is differentiable (``analytic_gradient``)
 and a central-difference oracle (``fd_gradient``). ``classify_point``
 decides smooth vs corner by probing one-sided directional slopes, which
@@ -86,10 +88,14 @@ class NormSpec:
             _FAMILIES[kind] = cls
 
     def value(self, x) -> float:
-        raise NotImplementedError
+        """The norm of one vector: the one-row case of ``values``."""
+        return float(self.values(as_vector(x, self.dim)[None])[0])
 
     def values(self, X) -> Vector:
-        """The norm of every row of a (k, dim) stack, checked once as a whole."""
+        """The norm of every row of a (k, dim) stack, checked once as a whole.
+
+        The family's one norm formula.
+        """
         raise NotImplementedError
 
     def __call__(self, x) -> float:
@@ -160,20 +166,13 @@ class LpNorm(NormSpec, kind="lp"):
         if _require_int(self.dim, "dim") < 1:
             raise ValueError("dim must be >= 1")
 
-    def value(self, x) -> float:
-        v = np.abs(as_vector(x, self.dim))
-        peak = float(v.max())
-        if peak == 0.0:
-            return 0.0
-        return peak * float(np.sum((v / peak) ** self.p) ** (1.0 / self.p))
-
     def values(self, X) -> Vector:
         A = np.abs(as_rows(X, self.dim))
         peak, safe = _row_peaks(A)
         return peak * np.sum((A / safe[:, None]) ** self.p, axis=1) ** (1.0 / self.p)
 
     def gradient_coeffs(self, e0: Vector) -> Vector:
-        return np.sign(e0) * (np.abs(e0) / self.value(e0)) ** (self.p - 1.0)
+        return self._gradient_rows(e0[None], self.values(e0[None]))[0]
 
     def _gradient_rows(self, E: Rows, norms: Vector) -> Rows:
         return np.sign(E) * (np.abs(E) / norms[:, None]) ** (self.p - 1.0)
@@ -195,9 +194,6 @@ class L1Norm(NormSpec, kind="l1"):
     def __post_init__(self):
         if _require_int(self.dim, "dim") < 1:
             raise ValueError("dim must be >= 1")
-
-    def value(self, x) -> float:
-        return float(np.sum(np.abs(as_vector(x, self.dim))))
 
     def values(self, X) -> Vector:
         return np.sum(np.abs(as_rows(X, self.dim)), axis=1)
@@ -222,9 +218,6 @@ class LInfNorm(NormSpec, kind="linf"):
     def __post_init__(self):
         if _require_int(self.dim, "dim") < 1:
             raise ValueError("dim must be >= 1")
-
-    def value(self, x) -> float:
-        return float(np.max(np.abs(as_vector(x, self.dim))))
 
     def values(self, X) -> Vector:
         return np.abs(as_rows(X, self.dim)).max(axis=1)
@@ -262,24 +255,15 @@ class QuadraticNorm(NormSpec, kind="quadratic"):
     def dim(self) -> int:
         return self.q.shape[0]
 
-    def value(self, x) -> float:
-        v = as_vector(x, self.dim)
-        peak = float(np.abs(v).max())
-        if peak == 0.0:
-            return 0.0
-        w = v / peak  # scale out before squaring so tiny vectors do not underflow
-        return peak * float(np.sqrt(max(float(w @ self.q @ w), 0.0)))
-
     def values(self, X) -> Vector:
         X = as_rows(X, self.dim)
         peak, safe = _row_peaks(X)
-        W = X / safe[:, None]
-        # stacked products repeat the scalar w @ q @ w bit for bit
+        W = X / safe[:, None]  # scale out before squaring so tiny rows do not underflow
         form = (W[:, None, :] @ self.q @ W[:, :, None])[:, 0, 0]
         return peak * np.sqrt(np.maximum(form, 0.0))
 
     def gradient_coeffs(self, e0: Vector) -> Vector:
-        return self.q @ e0 / self.value(e0)
+        return self._gradient_rows(e0[None], self.values(e0[None]))[0]
 
     def _gradient_rows(self, E: Rows, norms: Vector) -> Rows:
         return (self.q @ E[:, :, None])[:, :, 0] / norms[:, None]
@@ -313,10 +297,6 @@ class PolyhedralNorm(NormSpec, kind="polyhedral"):
     def dim(self) -> int:
         return self.functionals.shape[1]
 
-    def value(self, x) -> float:
-        v = as_vector(x, self.dim)
-        return float(np.max(np.abs(self.functionals @ v)))
-
     def values(self, X) -> Vector:
         X = as_rows(X, self.dim)
         return np.abs(self.functionals @ X[:, :, None])[:, :, 0].max(axis=1)
@@ -344,11 +324,6 @@ class ProductMaxNorm(NormSpec, kind="product_max"):
     @property
     def dim(self) -> int:
         return self.left.dim + self.right.dim
-
-    def value(self, x) -> float:
-        v = as_vector(x, self.dim)
-        return max(self.left.value(v[: self.left.dim]),
-                   self.right.value(v[self.left.dim:]))
 
     def values(self, X) -> Vector:
         X = as_rows(X, self.dim)
@@ -458,7 +433,8 @@ def one_sided_derivative(spec: NormSpec, e0, v,
                          step_sequence=None) -> float:
     """Right-sided directional slope lim_{t->0+} (|e0 + t v| - |e0|) / t.
 
-    The quotient is evaluated on a decreasing step grid and polynomially
+    The quotients come from one stack of the rows e0, e0 + t_1 v, ...,
+    e0 + t_k v over a decreasing step grid, and are polynomially
     extrapolated to zero. Convexity of the norm guarantees the limit
     exists in every direction, smooth point or not.
     """
@@ -474,9 +450,9 @@ def one_sided_derivative(spec: NormSpec, e0, v,
     steps = [float(t) for t in step_sequence]
     if any(t <= 0.0 for t in steps) or any(a <= b for a, b in zip(steps, steps[1:])):
         raise ValueError("step_sequence must be positive and strictly decreasing")
-    r = eval_norm(spec, e0)
-    quotients = [(spec.value(e0 + t * v) - r) / t for t in steps]
-    return extrapolate_to_zero(steps, quotients)
+    t = np.array(steps)
+    norms = spec.values(np.vstack([e0, e0 + t[:, None] * v]))
+    return extrapolate_to_zero(t, (norms[1:] - norms[0]) / t)
 
 
 def classify_point(spec: NormSpec, e0, *, tol: float = CLASSIFY_TOL,

@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from normgeom import (L1Norm, LInfNorm, LpNorm, PolyhedralNorm, ProductMaxNorm,
-                      QuadraticNorm)
+from normgeom import (DEFAULT_STEP_SEQUENCE, L1Norm, LInfNorm, LpNorm, PolyhedralNorm,
+                      ProductMaxNorm, QuadraticNorm)
+from normgeom._linalg import extrapolate_to_zero
 
 
 def central_diff_gradient(fn, x, step):
@@ -28,6 +29,46 @@ def fd_jacobian(func, x, step=1e-6):
         lo = np.asarray(func(x - unit), dtype=float)
         cols.append((hi - lo) / (2.0 * step))
     return np.stack(cols, axis=1)
+
+
+def one_sided_reference(spec, e0, v):
+    """The right slope of ``one_sided_derivative``, one scalar norm per step."""
+    e0, v = np.asarray(e0, dtype=float), np.asarray(v, dtype=float)
+    steps = [s * float(np.linalg.norm(e0)) for s in DEFAULT_STEP_SEQUENCE]
+    r = spec.value(e0)
+    return extrapolate_to_zero(steps, [(spec.value(e0 + t * v) - r) / t for t in steps])
+
+
+def expansion_reference(spec, e0, basis, exponents=(2, 3, 4, 5)):
+    """``directional_expansion_check`` rows as (scale, tangent ratio, mixed ratio).
+
+    One scalar norm per step.
+    """
+    e0 = np.asarray(e0, dtype=float)
+    r = spec.value(e0)
+    rows = []
+    for k in exponents:
+        scale = r * 10.0 ** (-float(k))
+        lam = 10.0 ** (-float(k))
+        worst_tangent = worst_mixed = 0.0
+        for b in np.atleast_2d(basis):
+            tau = scale * b
+            worst_tangent = max(worst_tangent, abs(spec.value(e0 + tau) - r) / spec.value(tau))
+            h = tau + lam * e0
+            worst_mixed = max(worst_mixed,
+                              abs(spec.value(e0 + h) - r - lam * r) / spec.value(h))
+        rows.append((scale, worst_tangent, worst_mixed))
+    return rows
+
+
+def sphere_sample_reference(spec, count, seed):
+    """The ``sphere-sample`` points, one draw and one scalar norm per point."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(count):
+        x = rng.standard_normal(spec.dim)
+        points.append((x / spec.value(x)).tolist())
+    return points
 
 
 def spd_matrix(rng, dim):

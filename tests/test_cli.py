@@ -13,6 +13,7 @@ from normgeom import (AnalysisRequest, QuadraticNorm, emit_plot_data,
                       run_request, spec_from_dict)
 from normgeom import cli
 from normgeom.cli import run_cli, validate_report
+from helpers import sphere_sample_reference
 
 
 @pytest.fixture
@@ -136,6 +137,33 @@ def test_sphere_sample_square_shape(square_spec, tmp_path, capsys):
     for line in lines[1:]:
         coords = [float(v) for v in line.split(",")]
         assert max(abs(c) for c in coords) == 1.0  # exactly on the square
+
+
+@pytest.mark.parametrize("spec", [{"type": "linf", "dim": 2}, {"type": "lp", "p": 4.0, "dim": 3},
+                                  {"type": "quadratic", "q": [[2.0, 0.3], [0.3, 1.0]]}],
+                         ids=lambda s: s["type"])
+def test_sphere_sample_report_matches_one_draw_per_point(spec, tmp_path):
+    spec_path, out_path = tmp_path / "spec.json", tmp_path / "report.json"
+    spec_path.write_text(json.dumps(spec))
+    assert run_cli(["sphere-sample", str(spec_path), "--count", "50", "--seed", "7",
+                    "--out", str(out_path)]) == 0
+    text = out_path.read_text()
+    expected = json.loads(text)
+    expected["results"][0]["result"]["samples"] = sphere_sample_reference(
+        spec_from_dict(spec), 50, 7)
+    assert text == cli._dump_json(expected)
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_sphere_sample_needs_a_positive_count(square_spec, capsys, count):
+    assert run_cli(["sphere-sample", square_spec, "--count", count]) == 2
+    assert "count must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_chart_needs_a_positive_sample_count(circle_spec, capsys, samples):
+    assert run_cli(["chart", circle_spec, "--point", "0.6,0.8", "--samples", samples]) == 2
+    assert "samples must be positive" in capsys.readouterr().err
 
 
 def test_sphere_sample_circle_shape(circle_spec, tmp_path):

@@ -12,7 +12,8 @@ from normgeom import (DecompositionError, EstimatedTangent, L1Norm, LInfNorm,
                       estimate_tangent, eval_norm, fd_gradient,
                       geometric_gradient, projection_pair, tangent_frame)
 from normgeom import charts, geometric
-from helpers import FAMILIES, central_diff_gradient, generic_point, smooth_specs, tie_point
+from helpers import (FAMILIES, central_diff_gradient, expansion_reference, generic_point,
+                     smooth_specs, tie_point)
 
 EUCLID2 = QuadraticNorm(np.eye(2))
 
@@ -181,6 +182,21 @@ def test_expansion_fails_across_facets():
     report = directional_expansion_check(LInfNorm(2), [1.0, 1.0], fake)
     assert not report.passed
     assert report.rows[-1].tangent_ratio == pytest.approx(1.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@given(seed=st.integers(0, 2**32 - 1), corner=st.booleans(),
+       decade=st.floats(-12.0, 12.0))
+@settings(max_examples=20, deadline=None)
+def test_expansion_rows_match_the_scalar_loop(family, seed, corner, decade):
+    rng = np.random.default_rng(seed)
+    spec, x = tie_point(family, rng, 0.0 if corner else 0.2)
+    x = x * 10.0 ** decade
+    # any orthonormal rows will do: the check only steps along them
+    basis = np.linalg.qr(rng.standard_normal((spec.dim, spec.dim - 1)))[0].T
+    report = directional_expansion_check(spec, x, types.SimpleNamespace(basis=basis))
+    got = [(row.scale, row.tangent_ratio, row.mixed_ratio) for row in report.rows]
+    assert got == expansion_reference(spec, x, basis)
 
 
 def test_expansion_report_serialization():

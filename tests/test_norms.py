@@ -11,7 +11,7 @@ from normgeom import (DEFAULT_STEP_SEQUENCE, L1Norm, LInfNorm, LpNorm,
                       product_norm_constants, product_split, spec_from_dict,
                       spec_to_dict)
 from helpers import (FAMILIES, TIE_FAMILIES, central_diff_gradient, generic_point,
-                     smooth_specs, tie_point)
+                     one_sided_reference, smooth_specs, tie_point)
 
 EUCLID2 = QuadraticNorm(np.eye(2))
 
@@ -89,7 +89,7 @@ def test_values_match_value_row_by_row(spec, data):
     assert got.shape == (k + 1,)
     assert got[-1] == 0.0
     for x, v in zip(X, got):
-        assert v == pytest.approx(spec.value(x), rel=1e-15, abs=0.0)
+        assert v == spec.value(x)
 
 
 def test_values_checks_the_stack():
@@ -98,6 +98,14 @@ def test_values_checks_the_stack():
         with pytest.raises(ValueError):
             spec.values(bad)
     assert spec.values(np.empty((0, 2))).shape == (0,)
+
+
+def test_families_write_their_norm_once():
+    # ``values`` is each family's one formula; ``value`` is its one-row case
+    assert norms._FAMILIES
+    for kind, family in norms._FAMILIES.items():
+        assert "value" not in vars(family), kind
+        assert "values" in vars(family), kind
 
 
 @pytest.mark.parametrize("spec", AXIOM_SPECS, ids=lambda s: type(s).__name__)
@@ -262,8 +270,8 @@ def test_fd_gradient_evaluates_one_stack(monkeypatch):
     monkeypatch.setattr(LpNorm, "value", spy_value)
     fd_gradient(spec, [0.3, -0.5, 0.8])
     # one stack of the 2n shifted rows; the one scalar call is the norm
-    # of the point, which sets the step
-    assert stacks == [(6, 3)]
+    # of the point, which sets the step, and is itself a one-row stack
+    assert stacks == [(1, 3), (6, 3)]
     assert scalars == [(3,)]
 
 
@@ -313,6 +321,30 @@ def test_one_sided_slope_is_scale_free(family, seed, corner, decade):
     for w in (v, -v):
         assert one_sided_derivative(spec, t * x, w) == pytest.approx(
             one_sided_derivative(spec, x, w), rel=0.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@given(seed=st.integers(0, 2**32 - 1), corner=st.booleans(),
+       decade=st.floats(-12.0, 12.0))
+@settings(max_examples=30, deadline=None)
+def test_one_sided_slope_is_one_stack(family, seed, corner, decade):
+    rng = np.random.default_rng(seed)
+    spec, x = tie_point(family, rng, 0.0 if corner else 0.2)
+    x = x * 10.0 ** decade
+    v = rng.standard_normal(spec.dim)
+    stacks = []
+    values = type(spec).values
+
+    def spy_values(self, X):
+        stacks.append(np.shape(X))
+        return values(self, X)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(type(spec), "values", spy_values)
+        got = one_sided_derivative(spec, x, v)
+    # the base point and every step of the grid, in one stack
+    assert stacks == [(len(DEFAULT_STEP_SEQUENCE) + 1, spec.dim)]
+    assert got == one_sided_reference(spec, x, v)
 
 
 def test_one_sided_step_sequence_validation():
