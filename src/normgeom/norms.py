@@ -1,20 +1,19 @@
 """Norms on R^n: evaluation, derivatives, and smoothness classification.
 
-Each norm family is one value class holding its norm formula, written
-once as ``values`` over every row of a (k, n) stack, its closed-form
-derivative and its JSON form. ``value`` of one vector is the one-row
-case of ``values``, so a scalar and a stacked evaluation of the same
-vector agree bit for bit. Derivatives come in two independent flavors:
-closed forms where the family is differentiable (``analytic_gradient``)
-and a central-difference oracle (``fd_gradient``). ``classify_point``
-decides smooth vs corner by probing one-sided directional slopes, which
-exist for every norm by convexity.
+Each norm family is one value class holding two formulas over a (k, n)
+stack of rows: ``values``, the norm, and ``_closed_form_rows``, the
+closed-form derivative plus a mask of the corner rows. Their one-row
+cases are ``value`` and ``analytic_gradient`` (which raises at a corner),
+so scalar and stacked results agree bit for bit. ``gradient_rows`` puts
+the central-difference oracle (``fd_gradient``) in the corner rows.
+``classify_point`` decides smooth vs corner by probing one-sided
+directional slopes, which exist for every norm by convexity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from numbers import Integral
+from numbers import Integral, Real
 from typing import ClassVar, TypeAlias
 
 import numpy as np
@@ -26,6 +25,8 @@ from .errors import NotDifferentiableError
 Vector: TypeAlias = NDArray[np.float64]
 #: A (k, n) stack of k vectors of R^n, one per row.
 Rows: TypeAlias = NDArray[np.float64]
+#: One flag per row of a stack.
+Mask: TypeAlias = NDArray[np.bool_]
 
 #: Relative tolerance below which two competing max-attainers count as tied.
 TIE_REL_TOL = 1e-9
@@ -75,7 +76,8 @@ class NormSpec:
     """A norm on R^n. Each family is one immutable dataclass subclass.
 
     ``class F(NormSpec, kind="f")`` registers F under the JSON type "f";
-    its JSON fields are its dataclass fields.
+    its JSON fields are its dataclass fields. A family writes ``values``
+    and ``_closed_form_rows``; everything else is inherited.
     """
 
     kind: ClassVar[str]
@@ -101,32 +103,42 @@ class NormSpec:
     def __call__(self, x) -> float:
         return self.value(x)
 
-    def gradient_coeffs(self, e0: Vector) -> Vector:
-        """Closed-form derivative at a checked nonzero ``e0``; raises at corners."""
-        raise TypeError(f"no closed-form gradient for {type(self).__name__}")
+    def _closed_form_rows(self, E: Rows, norms: Vector) -> tuple[Rows, Mask]:
+        """The family's one derivative formula, at checked nonzero rows ``E``.
+
+        Returns the coefficients at every row given its norm, and the mask
+        of the corner rows, which hold one subgradient instead.
+        """
+        raise NotImplementedError
 
     def gradient_rows(self, E) -> Rows:
         """Derivative coefficients at every row of ``E``."""
         E = as_rows(E, self.dim)
+        if not np.all(np.any(E, axis=1)):
+            raise ValueError("the norm is not differentiable at the origin")
         return self._gradient_rows(E, self.values(E))
 
     def _gradient_rows(self, E: Rows, norms: Vector) -> Rows:
-        """``gradient_rows`` at checked rows ``E`` whose norms are ``norms``.
+        """``gradient_rows`` at checked nonzero rows ``E`` whose norms are ``norms``.
 
-        The closed form where it exists, the central-difference oracle at
-        corners; families without corners override this with one stacked
-        closed form, which takes the norms a caller already has.
+        The closed form, with the central-difference oracle at corners.
         """
-        rows = []
-        for e in E:
-            try:
-                rows.append(analytic_gradient(self, e).coeffs)
-            except NotDifferentiableError:
-                rows.append(fd_gradient(self, e).coeffs)
-        return np.array(rows).reshape(-1, self.dim)
+        coeffs, corners = self._closed_form_rows(E, norms)
+        for i in np.flatnonzero(corners):
+            coeffs[i] = fd_gradient(self, E[i]).coeffs
+        return coeffs
 
     def to_dict(self) -> dict:
-        raise TypeError(f"cannot serialize {type(self).__name__}")
+        """The JSON object form: the ``type`` tag, then each dataclass field."""
+        out = {"type": self.kind}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, NormSpec):
+                value = value.to_dict()
+            elif isinstance(value, np.ndarray):
+                value = value.tolist()
+            out[f.name] = value
+        return out
 
     @classmethod
     def from_fields(cls, data: dict) -> NormSpec:
@@ -134,19 +146,35 @@ class NormSpec:
         return cls(**{name: value for name, value in data.items() if name != "type"})
 
 
-def _require_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+def _require_dim(spec: NormSpec) -> None:
+    """Check that ``spec.dim`` is a positive integer and store it as an int."""
+    dim = spec.dim
+    if isinstance(dim, bool) or not isinstance(dim, Integral):
+        raise ValueError(f"dim must be an integer, got {dim!r}")
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    object.__setattr__(spec, "dim", int(dim))
 
 
-def _sole_attainer(vals: Vector, message: str) -> int:
-    """Index of the largest |vals| entry; a relative tie for it is a corner."""
-    mags = np.abs(vals)
-    attained = np.flatnonzero(mags >= (1.0 - TIE_REL_TOL) * float(mags.max()))
-    if attained.size > 1:
-        raise NotDifferentiableError(message)
-    return int(attained[0])
+def _real_matrix(value, name: str) -> NDArray[np.float64]:
+    """``value`` as a finite float array; strings and booleans are not numbers."""
+    a = np.asarray(value)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold numbers")
+    a = a.astype(float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must be finite")
+    return a
+
+
+def _max_attainers(V: Rows) -> tuple[NDArray[np.intp], Vector, Mask]:
+    """Per row: the first largest |entry|, its sign, and whether another
+    entry ties it within relative ``TIE_REL_TOL`` (a corner of the max)."""
+    mags = np.abs(V)
+    j = mags.argmax(axis=1)
+    rows = np.arange(len(V))
+    ties = np.count_nonzero(mags >= (1.0 - TIE_REL_TOL) * mags[rows, j][:, None], axis=1) > 1
+    return j, np.sign(V[rows, j]), ties
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,28 +189,20 @@ class LpNorm(NormSpec, kind="lp"):
     dim: int
 
     def __post_init__(self):
-        if not (1.0 < float(self.p) <= _MAX_LP_EXPONENT):
-            raise ValueError(f"p must lie in (1, {_MAX_LP_EXPONENT}], got {self.p}")
-        if _require_int(self.dim, "dim") < 1:
-            raise ValueError("dim must be >= 1")
+        p = self.p
+        if isinstance(p, bool) or not isinstance(p, Real) or not 1.0 < p <= _MAX_LP_EXPONENT:
+            raise ValueError(f"p must be a number in (1, {_MAX_LP_EXPONENT}], got {p!r}")
+        object.__setattr__(self, "p", float(self.p))
+        _require_dim(self)
 
     def values(self, X) -> Vector:
         A = np.abs(as_rows(X, self.dim))
         peak, safe = _row_peaks(A)
         return peak * np.sum((A / safe[:, None]) ** self.p, axis=1) ** (1.0 / self.p)
 
-    def gradient_coeffs(self, e0: Vector) -> Vector:
-        return self._gradient_rows(e0[None], self.values(e0[None]))[0]
-
-    def _gradient_rows(self, E: Rows, norms: Vector) -> Rows:
-        return np.sign(E) * (np.abs(E) / norms[:, None]) ** (self.p - 1.0)
-
-    def to_dict(self) -> dict:
-        return {"type": self.kind, "p": float(self.p), "dim": int(self.dim)}
-
-    @classmethod
-    def from_fields(cls, data: dict) -> LpNorm:
-        return cls(p=float(data["p"]), dim=data["dim"])
+    def _closed_form_rows(self, E: Rows, norms: Vector) -> tuple[Rows, Mask]:
+        coeffs = np.sign(E) * (np.abs(E) / norms[:, None]) ** (self.p - 1.0)
+        return coeffs, np.zeros(len(E), dtype=bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,21 +212,15 @@ class L1Norm(NormSpec, kind="l1"):
     dim: int
 
     def __post_init__(self):
-        if _require_int(self.dim, "dim") < 1:
-            raise ValueError("dim must be >= 1")
+        _require_dim(self)
 
     def values(self, X) -> Vector:
         return np.sum(np.abs(as_rows(X, self.dim)), axis=1)
 
-    def gradient_coeffs(self, e0: Vector) -> Vector:
-        peak = float(np.abs(e0).max())
-        if float(np.abs(e0).min()) <= TIE_REL_TOL * peak:
-            raise NotDifferentiableError(
-                "l1 norm is not differentiable where a coordinate vanishes")
-        return np.sign(e0)
-
-    def to_dict(self) -> dict:
-        return {"type": self.kind, "dim": int(self.dim)}
+    def _closed_form_rows(self, E: Rows, norms: Vector) -> tuple[Rows, Mask]:
+        # a coordinate below TIE_REL_TOL of the largest counts as zero
+        A = np.abs(E)
+        return np.sign(E), A.min(axis=1) <= TIE_REL_TOL * A.max(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,20 +230,16 @@ class LInfNorm(NormSpec, kind="linf"):
     dim: int
 
     def __post_init__(self):
-        if _require_int(self.dim, "dim") < 1:
-            raise ValueError("dim must be >= 1")
+        _require_dim(self)
 
     def values(self, X) -> Vector:
         return np.abs(as_rows(X, self.dim)).max(axis=1)
 
-    def gradient_coeffs(self, e0: Vector) -> Vector:
-        j = _sole_attainer(e0, "max norm has tied attaining coordinates")
-        coeffs = np.zeros_like(e0)
-        coeffs[j] = np.sign(e0[j])
-        return coeffs
-
-    def to_dict(self) -> dict:
-        return {"type": self.kind, "dim": int(self.dim)}
+    def _closed_form_rows(self, E: Rows, norms: Vector) -> tuple[Rows, Mask]:
+        j, sign, corners = _max_attainers(E)
+        coeffs = np.zeros_like(E)
+        coeffs[np.arange(len(E)), j] = sign
+        return coeffs, corners
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,7 +249,7 @@ class QuadraticNorm(NormSpec, kind="quadratic"):
     q: Vector
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
+        q = _real_matrix(self.q, "q")
         if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] < 1:
             raise ValueError("q must be a square matrix")
         scale = float(np.abs(q).max()) or 1.0
@@ -262,14 +272,9 @@ class QuadraticNorm(NormSpec, kind="quadratic"):
         form = (W[:, None, :] @ self.q @ W[:, :, None])[:, 0, 0]
         return peak * np.sqrt(np.maximum(form, 0.0))
 
-    def gradient_coeffs(self, e0: Vector) -> Vector:
-        return self._gradient_rows(e0[None], self.values(e0[None]))[0]
-
-    def _gradient_rows(self, E: Rows, norms: Vector) -> Rows:
-        return (self.q @ E[:, :, None])[:, :, 0] / norms[:, None]
-
-    def to_dict(self) -> dict:
-        return {"type": self.kind, "q": self.q.tolist()}
+    def _closed_form_rows(self, E: Rows, norms: Vector) -> tuple[Rows, Mask]:
+        coeffs = (self.q @ E[:, :, None])[:, :, 0] / norms[:, None]
+        return coeffs, np.zeros(len(E), dtype=bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,11 +288,9 @@ class PolyhedralNorm(NormSpec, kind="polyhedral"):
     functionals: Vector
 
     def __post_init__(self):
-        f = np.atleast_2d(np.asarray(self.functionals, dtype=float))
+        f = np.atleast_2d(_real_matrix(self.functionals, "functionals"))
         if f.ndim != 2 or f.shape[0] < 1 or f.shape[1] < 1:
             raise ValueError("functionals must be a nonempty matrix of rows")
-        if not np.all(np.isfinite(f)):
-            raise ValueError("functionals must be finite")
         if np.linalg.matrix_rank(f) < f.shape[1]:
             raise ValueError("functionals must have full column rank")
         f.setflags(write=False)
@@ -301,13 +304,9 @@ class PolyhedralNorm(NormSpec, kind="polyhedral"):
         X = as_rows(X, self.dim)
         return np.abs(self.functionals @ X[:, :, None])[:, :, 0].max(axis=1)
 
-    def gradient_coeffs(self, e0: Vector) -> Vector:
-        vals = self.functionals @ e0
-        j = _sole_attainer(vals, "tied attaining functionals")
-        return np.sign(vals[j]) * self.functionals[j]
-
-    def to_dict(self) -> dict:
-        return {"type": self.kind, "functionals": self.functionals.tolist()}
+    def _closed_form_rows(self, E: Rows, norms: Vector) -> tuple[Rows, Mask]:
+        j, sign, corners = _max_attainers((self.functionals @ E[:, :, None])[:, :, 0])
+        return sign[:, None] * self.functionals[j], corners
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,20 +329,20 @@ class ProductMaxNorm(NormSpec, kind="product_max"):
         return np.maximum(self.left.values(X[:, : self.left.dim]),
                           self.right.values(X[:, self.left.dim:]))
 
-    def gradient_coeffs(self, e0: Vector) -> Vector:
-        a, b = product_split(e0, self.left.dim)
-        na, nb = self.left.value(a), self.right.value(b)
-        if abs(na - nb) <= TIE_REL_TOL * max(na, nb):
-            raise NotDifferentiableError("both factors attain the product max")
-        if na > nb:  # the active block's derivative, zero on the other block
-            return np.concatenate([analytic_gradient(self.left, a).coeffs,
-                                   np.zeros(self.right.dim)])
-        return np.concatenate([np.zeros(self.left.dim),
-                               analytic_gradient(self.right, b).coeffs])
-
-    def to_dict(self) -> dict:
-        return {"type": self.kind, "left": self.left.to_dict(),
-                "right": self.right.to_dict()}
+    def _closed_form_rows(self, E: Rows, norms: Vector) -> tuple[Rows, Mask]:
+        # the active block's derivative, zero on the other block; a tie of
+        # the block norms is a corner, and so is a corner of the active block
+        cut = self.left.dim
+        na, nb = self.left.values(E[:, :cut]), self.right.values(E[:, cut:])
+        corners = np.abs(na - nb) <= TIE_REL_TOL * np.maximum(na, nb)
+        coeffs = np.zeros_like(E)
+        left = na > nb
+        for spec, cols, active, block_norms in ((self.left, slice(None, cut), left, na),
+                                                (self.right, slice(cut, None), ~left, nb)):
+            block, block_corners = spec._closed_form_rows(E[active, cols], block_norms[active])
+            coeffs[active, cols] = block
+            corners[active] |= block_corners
+        return coeffs, corners
 
     @classmethod
     def from_fields(cls, data: dict) -> ProductMaxNorm:
@@ -405,7 +404,11 @@ def analytic_gradient(spec: NormSpec, e0) -> GradientFunctional:
     e0 = as_vector(e0, spec.dim)
     if not np.any(e0):
         raise ValueError("the norm is not differentiable at the origin")
-    return GradientFunctional(spec.gradient_coeffs(e0), e0)
+    E = e0[None]
+    coeffs, corners = spec._closed_form_rows(E, spec.values(E))
+    if corners[0]:
+        raise NotDifferentiableError(f"{type(spec).__name__} has a corner at this point")
+    return GradientFunctional(coeffs[0], e0)
 
 
 def fd_gradient(spec: NormSpec, e0, step: float | None = None) -> GradientFunctional:

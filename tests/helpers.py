@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from normgeom import (DEFAULT_STEP_SEQUENCE, L1Norm, LInfNorm, LpNorm, PolyhedralNorm,
-                      ProductMaxNorm, QuadraticNorm)
+from normgeom import (DEFAULT_STEP_SEQUENCE, TIE_REL_TOL, L1Norm, LInfNorm, LpNorm,
+                      PolyhedralNorm, ProductMaxNorm, QuadraticNorm, product_split)
 from normgeom._linalg import extrapolate_to_zero
 
 
@@ -69,6 +69,80 @@ def sphere_sample_reference(spec, count, seed):
         x = rng.standard_normal(spec.dim)
         points.append((x / spec.value(x)).tolist())
     return points
+
+
+def _sole_attainer(vals):
+    """The first largest |vals| entry's index and sign, and whether it is tied."""
+    mags = np.abs(vals)
+    tied = np.flatnonzero(mags >= (1.0 - TIE_REL_TOL) * float(mags.max())).size > 1
+    j = int(np.argmax(mags))
+    return j, np.sign(vals[j]), tied
+
+
+def closed_form_reference(spec, e0):
+    """The derivative at one nonzero point, per family and scalar, and whether
+    the point is a corner, where it holds the first max-attainer's subgradient.
+
+    The closed forms and tie tests that ``_closed_form_rows`` stacks.
+    """
+    e0 = np.asarray(e0, dtype=float)
+    if isinstance(spec, LpNorm):
+        return np.sign(e0) * (np.abs(e0) / spec.value(e0)) ** (spec.p - 1.0), False
+    if isinstance(spec, QuadraticNorm):
+        return spec.q @ e0 / spec.value(e0), False
+    if isinstance(spec, L1Norm):
+        mags = np.abs(e0)
+        return np.sign(e0), float(mags.min()) <= TIE_REL_TOL * float(mags.max())
+    if isinstance(spec, LInfNorm):
+        j, sign, tied = _sole_attainer(e0)
+        coeffs = np.zeros_like(e0)
+        coeffs[j] = sign
+        return coeffs, tied
+    if isinstance(spec, PolyhedralNorm):
+        j, sign, tied = _sole_attainer(spec.functionals @ e0)
+        return sign * spec.functionals[j], tied
+    if isinstance(spec, ProductMaxNorm):
+        a, b = product_split(e0, spec.left.dim)
+        na, nb = spec.left.value(a), spec.right.value(b)
+        tied = abs(na - nb) <= TIE_REL_TOL * max(na, nb)
+        if na > nb:  # the active block's derivative, zero on the other block
+            block, corner = closed_form_reference(spec.left, a)
+            return np.concatenate([block, np.zeros(spec.right.dim)]), tied or corner
+        block, corner = closed_form_reference(spec.right, b)
+        return np.concatenate([np.zeros(spec.left.dim), block]), tied or corner
+    raise TypeError(type(spec).__name__)
+
+
+def corner_rows(spec, x, rel):
+    """Rows at relative offset ``rel`` from corners of ``spec`` near ``x``.
+
+    A coordinate at ``rel`` of the largest (an l1 corner), a coordinate
+    tied with the largest, two functionals tied, equal block norms and a
+    zero block. Offset 0 gives exact corners.
+    """
+    x = np.asarray(x, dtype=float)
+    peak = float(np.abs(x).max())
+    rows = []
+    for i in range(x.size):
+        for value in (rel * peak, -(1.0 - rel) * peak):
+            y = x.copy()
+            y[i] = value
+            rows.append(y)
+    if isinstance(spec, PolyhedralNorm):
+        F = spec.functionals
+        for i in range(len(F)):
+            for j in range(i + 1, len(F)):
+                for d in (F[i] - F[j], F[i] + F[j]):
+                    if np.any(d):
+                        y = x - (d @ x) / (d @ d) * d
+                        rows.append(y + rel * np.linalg.norm(y) * d / np.linalg.norm(d))
+    if isinstance(spec, ProductMaxNorm):
+        a, b = product_split(x, spec.left.dim)
+        na, nb = spec.left.value(a), spec.right.value(b)
+        if na and nb:
+            rows.append(np.concatenate([a / na * nb * (1.0 + rel), b]))
+        rows += [np.concatenate([a, 0.0 * b]), np.concatenate([0.0 * a, b])]
+    return [y for y in rows if np.any(y)]
 
 
 def spd_matrix(rng, dim):

@@ -242,6 +242,21 @@ def test_unknown_field_exits_two(tmp_path):
         assert run_cli(["classify", str(bad), "--point", "1,1"]) == 2, data
 
 
+@pytest.mark.parametrize("entry", ["Infinity", "NaN"])
+def test_non_finite_quadratic_exits_two(tmp_path, capsys, entry):
+    bad = tmp_path / "bad.json"
+    bad.write_text(f'{{"type": "quadratic", "q": [[{entry}, 0], [0, 1]]}}')
+    assert run_cli(["classify", str(bad), "--point", "0.6,0.8"]) == 2
+    assert "q must be finite" in capsys.readouterr().err
+
+
+def test_exponent_written_as_text_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"type": "lp", "p": "4", "dim": 3}))
+    assert run_cli(["classify", str(bad), "--point", "0.6,0.8,0"]) == 2
+    assert "p must be a number" in capsys.readouterr().err
+
+
 def test_bad_point_exits_two(square_spec):
     assert run_cli(["classify", square_spec, "--point", "1,x"]) == 2
 
@@ -317,6 +332,13 @@ def test_request_rejects_unknown_tolerance():
     with pytest.raises(ValueError):
         AnalysisRequest(norm=spec, points=[[1.0, 0.0]], commands=("classify",),
                         tolerances={"fuzz": 1.0})
+
+
+def test_analytic_tolerance_is_a_constant():
+    # no flag set it, so it is ``cli.ANALYTIC_TOL``, not a tolerance override
+    with pytest.raises(ValueError, match="analytic_tol"):
+        AnalysisRequest(norm=QuadraticNorm(np.eye(2)), points=[[1.0, 0.0]],
+                        commands=("grad",), tolerances={"analytic_tol": 1e-3})
 
 
 def test_emit_plot_data_requires_plottable_results():

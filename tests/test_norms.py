@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,9 @@ from normgeom import (DEFAULT_STEP_SEQUENCE, L1Norm, LInfNorm, LpNorm,
                       one_sided_derivative, product_embed,
                       product_norm_constants, product_split, spec_from_dict,
                       spec_to_dict)
-from helpers import (FAMILIES, TIE_FAMILIES, central_diff_gradient, generic_point,
-                     one_sided_reference, smooth_specs, tie_point)
+from helpers import (BLOCK_MAX, FAMILIES, HEXAGON, TIE_FAMILIES, central_diff_gradient,
+                     closed_form_reference, corner_rows, generic_point, one_sided_reference,
+                     smooth_specs, tie_point)
 
 EUCLID2 = QuadraticNorm(np.eye(2))
 
@@ -106,6 +109,53 @@ def test_families_write_their_norm_once():
     for kind, family in norms._FAMILIES.items():
         assert "value" not in vars(family), kind
         assert "values" in vars(family), kind
+
+
+def test_families_write_their_derivative_once():
+    # ``_closed_form_rows`` is each family's one derivative formula; the
+    # pointwise gradient, the fd patch at corners and the JSON form are shared
+    for kind, family in norms._FAMILIES.items():
+        for inherited in ("gradient_coeffs", "_gradient_rows", "to_dict"):
+            assert inherited not in vars(family), (kind, inherited)
+        assert "values" in vars(family), kind
+        assert "_closed_form_rows" in vars(family), kind
+
+
+DERIVATIVE_SPECS = AXIOM_SPECS + [
+    LpNorm(4.0, 3), HEXAGON, BLOCK_MAX, ProductMaxNorm(LInfNorm(2), LpNorm(1.5, 2)),
+    ProductMaxNorm(ProductMaxNorm(LInfNorm(2), L1Norm(1)), HEXAGON),
+]
+
+
+@pytest.mark.parametrize("spec", DERIVATIVE_SPECS, ids=lambda s: type(s).__name__)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_closed_form_rows_match_the_scalar_reference(spec, data):
+    # bit for bit, over 24 decades of scale, at exact and near corners
+    unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+    x = np.array(data.draw(st.lists(unit, min_size=spec.dim, max_size=spec.dim)))
+    if not np.any(x):
+        x[0] = 1.0
+    rel = data.draw(st.sampled_from([0.0, 1e-10, 1e-8, 1e-3]))
+    decade = data.draw(st.floats(min_value=-12.0, max_value=12.0))
+    E = np.array([x] + corner_rows(spec, x, rel)) * 10.0 ** decade
+    E = E[np.any(E, axis=1)]
+    coeffs, corners = spec._closed_form_rows(E, spec.values(E))
+    for e, c, corner in zip(E, coeffs, corners):
+        ref, ref_corner = closed_form_reference(spec, e)
+        assert c.tobytes() == ref.tobytes()
+        assert corner == ref_corner
+        if corner:
+            with pytest.raises(NotDifferentiableError):
+                analytic_gradient(spec, e)
+        else:
+            assert analytic_gradient(spec, e).coeffs.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("spec", AXIOM_SPECS, ids=lambda s: type(s).__name__)
+def test_gradient_rows_reject_the_origin(spec):
+    with pytest.raises(ValueError, match="origin"):
+        spec.gradient_rows(np.vstack([np.ones(spec.dim), np.zeros(spec.dim)]))
 
 
 @pytest.mark.parametrize("spec", AXIOM_SPECS, ids=lambda s: type(s).__name__)
@@ -544,6 +594,33 @@ def test_spec_json_roundtrip(data):
                           analytic_gradient(spec, x).coeffs)
 
 
+AXIOM_DICTS = [
+    {"type": "quadratic", "q": [[2.0, 0.3], [0.3, 1.0]]},
+    {"type": "lp", "p": 3.0, "dim": 3},
+    {"type": "lp", "p": 1.5, "dim": 2},
+    {"type": "l1", "dim": 3},
+    {"type": "linf", "dim": 3},
+    {"type": "polyhedral", "functionals": [[1.0, 0.0], [0.0, 1.0], [0.8, 0.6]]},
+    {"type": "product_max", "left": {"type": "quadratic", "q": [[1.0, 0.0], [0.0, 1.0]]},
+     "right": {"type": "l1", "dim": 2}},
+]
+
+
+TO_DICT_CASES = list(zip(AXIOM_SPECS, AXIOM_DICTS)) + [
+    (LpNorm(4, np.int64(3)), {"type": "lp", "p": 4.0, "dim": 3}),
+    (L1Norm(np.int32(2)), {"type": "l1", "dim": 2}),
+]
+
+
+@pytest.mark.parametrize("spec,data", TO_DICT_CASES, ids=[d["type"] for _, d in TO_DICT_CASES])
+def test_to_dict_is_the_type_tag_then_the_fields(spec, data):
+    # json.dumps tells 4 from 4.0; fields are stored as JSON types at construction
+    assert json.dumps(spec.to_dict()) == json.dumps(data)
+    assert type(spec.dim) is int
+    if isinstance(spec, LpNorm):
+        assert type(spec.p) is float
+
+
 def test_every_family_is_registered():
     # a NormSpec subclass missing from the registry could not be decoded
     families, todo = [], [NormSpec]
@@ -569,6 +646,34 @@ def test_every_family_is_registered():
 def test_spec_from_dict_rejects_malformed_field_types(data):
     with pytest.raises(ValueError):
         spec_from_dict(data)
+
+
+@pytest.mark.parametrize("data", [
+    {"type": "lp", "p": "4", "dim": 3},
+    {"type": "lp", "p": True, "dim": 3},
+    {"type": "lp", "p": 10**400, "dim": 3},
+    {"type": "quadratic", "q": [["1", "0"], ["0", "2"]]},
+    {"type": "quadratic", "q": [[True, False], [False, True]]},
+    {"type": "polyhedral", "functionals": [[True, False], [False, True]]},
+    {"type": "polyhedral", "functionals": [["1", "0"], ["0", "1"]]},
+], ids=["p-text", "p-bool", "p-huge-int", "q-text", "q-bool", "functionals-bool",
+        "functionals-text"])
+def test_spec_fields_must_be_float_numbers(data):
+    # text and booleans are not numbers, and an exponent must fit a float
+    with pytest.raises(ValueError):
+        spec_from_dict(data)
+
+
+@pytest.mark.parametrize("q", [[[np.inf, 0.0], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]])
+def test_quadratic_rejects_non_finite_q(q):
+    with pytest.raises(ValueError, match="q must be finite"):
+        QuadraticNorm(q)
+
+
+def test_polyhedral_leaves_the_callers_array_writable():
+    f = np.array([[1.0, 0.0], [0.0, 1.0]])
+    spec = PolyhedralNorm(f)
+    assert f.flags.writeable and not spec.functionals.flags.writeable
 
 
 def test_spec_from_dict_rejects_unknown_type():
