@@ -7,6 +7,9 @@ chart and projection machinery in ``charts``, sample-based derivative
 reconstruction in ``geometric``, and the command-line front end in
 ``cli``. Every object is an immutable value and every operation is pure,
 so concurrent use needs no locking.
+
+``cli`` (with ``argparse`` and ``jsonschema``) loads on first use of one
+of its names, so importing the library does not pay for the front end.
 """
 
 __version__ = "0.1.0"
@@ -30,7 +33,18 @@ from .geometric import (EstimatedTangent, ExpansionReport, ExpansionRow,
                         GeometricDerivative, RoundtripReport,
                         directional_expansion_check, equivalence_roundtrip,
                         estimate_tangent, geometric_gradient)
-from .cli import AnalysisRequest, Report, emit_plot_data, run_cli, run_request
+
+#: Names re-exported from ``cli``, resolved on first access (PEP 562).
+_CLI_NAMES = frozenset({"AnalysisRequest", "Report", "emit_plot_data", "run_cli",
+                        "run_request"})
+
+
+def __getattr__(name):
+    if name in _CLI_NAMES:
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

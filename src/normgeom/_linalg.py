@@ -1,6 +1,8 @@
-"""Small dense linear-algebra helpers shared across the package."""
+"""Small dense linear-algebra and argument helpers shared across the package."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.typing import NDArray
@@ -13,6 +15,14 @@ def frozen_copy(a) -> Array:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
+
+
+def positive_finite(value, name: str) -> float:
+    """``value`` as a float; raise ValueError unless it is finite and > 0."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return value
 
 
 def orthonormal_complement(row: Array) -> Array:

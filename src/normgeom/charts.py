@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import (Array, frozen_copy, oblique_projection,
-                      orthonormal_complement, sized_directions)
+                      orthonormal_complement, positive_finite, sized_directions)
 from .errors import (ChartDomainError, ConvergenceError, DecompositionError,
                      GeometryError, NotDifferentiableError)
 from .norms import (GradientFunctional, NormSpec, as_rows, as_vector, classify_point,
@@ -122,7 +122,8 @@ class Chart:
     along the ray, t_plus(r) = r * e0 / |e0|; composing it with the
     gradient reproduces the ray projection, and the gradient undoes it on
     scalars. ``domain_radius`` bounds the neighborhood, measured by the
-    chart's own norm, on which the chart is treated as invertible.
+    chart's own norm, on which the chart is treated as invertible. Both
+    radii must be finite and positive.
     """
 
     spec: NormSpec
@@ -132,20 +133,11 @@ class Chart:
     base_norm: float
 
     def __post_init__(self):
-        if self.domain_radius <= 0.0:
-            raise ValueError("domain_radius must be positive")
-        if self.base_norm <= 0.0:
-            raise ValueError("base_norm must be positive")
+        for name in ("domain_radius", "base_norm"):
+            object.__setattr__(self, name, positive_finite(getattr(self, name), name))
 
     def t_plus(self, r: float) -> Array:
         return (float(r) / self.base_norm) * self.frame.base_point
-
-
-def _forward(chart: Chart, E: Array, norms: Array) -> Array:
-    """Chart images of the (checked) rows of ``E``, whose norms are ``norms``."""
-    tangent_part = (chart.projections.onto_tangent @ E[:, :, None])[:, :, 0]
-    defect = norms - chart.base_norm
-    return tangent_part + (defect / chart.base_norm)[:, None] * chart.frame.base_point
 
 
 def chart_forward_rows(chart: Chart, E) -> Array:
@@ -157,7 +149,9 @@ def chart_forward_rows(chart: Chart, E) -> Array:
         raise ChartDomainError(
             f"point at distance {offsets[outside[0]]:.3e} exceeds domain radius "
             f"{chart.domain_radius:.3e}")
-    return _forward(chart, E, chart.spec.values(E))
+    tangent_part = (chart.projections.onto_tangent @ E[:, :, None])[:, :, 0]
+    defect = chart.spec.values(E) - chart.base_norm
+    return tangent_part + (defect / chart.base_norm)[:, None] * chart.frame.base_point
 
 
 def chart_forward(chart: Chart, e) -> Array:
@@ -169,14 +163,17 @@ def chart_inverse_rows(chart: Chart, C) -> tuple[Array, list[GeometryError | Non
     """Invert the chart at every row of ``C`` by one lockstep Newton iteration.
 
     Newton runs along the base ray only: the first iterate e0 + c already
-    has the exact tangent part P_T c, and every step moves along e0 by the
-    ray part of the residual over the slope g_E(e0) of the norm there (see
-    ``build_chart``). All rows iterate together, and each retires once its
-    residual is at most 1e-12 * |e0|. A row fails alone: outside the
-    domain radius (ChartDomainError), or stalled, at a zero slope or at a
-    non-finite iterate (ConvergenceError). Each iteration evaluates the
-    norm of its iterates once. Returns the preimages, NaN on failed rows,
-    and per row its error or None.
+    has the exact tangent part P_T c (see ``build_chart``), so on the
+    iterates (1 + s) e0 + c the chart equation phi(E) = c is the scalar
+    equation f = |E| - r (1 + lambda) = 0, with r = |e0| and lambda =
+    g(c) / g(e0) the ray part of c. Every step moves s by f over the slope
+    g_E(e0) of the norm there, and each iterate is formed afresh from s,
+    so a far step cannot round c's tangent part away. All rows iterate
+    together, and each retires once |f| is at most 1e-12 * r. A row fails
+    alone: outside the domain radius (ChartDomainError), or stalled, at a
+    zero slope or at a non-finite iterate (ConvergenceError). Each
+    iteration evaluates the norm of its iterates once. Returns the
+    preimages, NaN on failed rows, and per row its error or None.
     """
     C = as_rows(C, chart.frame.dim)
     k = C.shape[0]
@@ -184,41 +181,38 @@ def chart_inverse_rows(chart: Chart, C) -> tuple[Array, list[GeometryError | Non
     for i in np.flatnonzero(chart.spec.values(C) > chart.domain_radius * (1.0 + _DOMAIN_SLACK)):
         errors[i] = ChartDomainError("chart coordinates outside the domain radius")
     base = chart.frame.base_point
-    g0 = chart.frame.gradient.coeffs
-    g0_base = chart.frame.gradient.apply(base)
-    scale = float(np.linalg.norm(base))
-    E = base + C
+    r = chart.base_norm
+    target = r * (1.0 + C @ chart.frame.gradient.coeffs / chart.frame.gradient.apply(base))
+    s = np.zeros(k)
     out = np.full_like(C, np.nan)
     best_res = np.full(k, np.inf)
     active = np.flatnonzero([err is None for err in errors])
     for _ in range(_NEWTON_MAX_ITER):
-        finite = np.isfinite(E[active]).all(axis=1)
+        Ea = (1.0 + s[active])[:, None] * base + C[active]
+        finite = np.isfinite(Ea).all(axis=1)
         for i in active[~finite]:
             errors[i] = ConvergenceError(
                 "iterate left the admissible region: vector entries must be finite")
-        active = active[finite]
+        active, Ea = active[finite], Ea[finite]
         if not active.size:
             break
-        Ea = E[active]
         norms = chart.spec.values(Ea)
-        residuals = _forward(chart, Ea, norms) - C[active]
-        res = np.linalg.norm(residuals, axis=1)
+        f = norms - target[active]
+        res = np.abs(f)
         better = res < best_res[active]
         out[active[better]] = Ea[better]
         best_res[active[better]] = res[better]
-        done = res <= 1e-12 * scale
+        done = res <= 1e-12 * r
         out[active[done]] = Ea[done]
-        active, Ea, norms, residuals = active[~done], Ea[~done], norms[~done], residuals[~done]
+        active, Ea, norms, f = active[~done], Ea[~done], norms[~done], f[~done]
         slope = chart.spec._gradient_rows(Ea, norms) @ base
         usable = slope != 0.0
         for i in active[~usable]:
             errors[i] = ConvergenceError("newton step failed: zero slope along the ray")
-        active, Ea, residuals, slope = (active[usable], Ea[usable], residuals[usable],
-                                        slope[usable])
-        step = chart.base_norm * (residuals @ g0) / g0_base / slope
-        E[active] = Ea - step[:, None] * base
+        active = active[usable]
+        s[active] -= f[usable] / slope[usable]
     for i in active:  # out of iterations: keep the best iterate if close enough
-        if best_res[i] > 1e-10 * scale:
+        if best_res[i] > 1e-10 * r:
             errors[i] = ConvergenceError(
                 f"newton stalled at residual {best_res[i]:.3e}; domain_radius "
                 f"{chart.domain_radius:.3e} is likely too large")
@@ -243,10 +237,10 @@ def build_chart(spec: NormSpec, e0, domain_radius: float | None = None, *,
                 seed: int = 0) -> Chart:
     """Construct the chart at ``e0``.
 
-    An explicit ``domain_radius`` is used as given. The default is a
-    quarter of the base norm, where Newton inverts every target c of the
-    tangent hyperplane with |c| <= 0.9 * 0.25|e0|, so it needs no runtime
-    test:
+    An explicit ``domain_radius`` (finite and positive) is used as given.
+    The default is a quarter of the base norm, where Newton inverts every
+    target c of the tangent hyperplane with |c| <= 0.9 * 0.25|e0|, so it
+    needs no runtime test:
 
     - the Jacobian is J = P_T + e0 g^T / |e0| with P_T e0 = 0, so
       P_T J = P_T: the start e0 + c has the exact tangent part P_T c,
@@ -263,13 +257,16 @@ def build_chart(spec: NormSpec, e0, domain_radius: float | None = None, *,
     A row that fails anyway stays visible as its error in
     ``chart_inverse_rows``.
     """
+    e0 = as_vector(e0, spec.dim)
+    return _build_chart(spec, e0, eval_norm(spec, e0), domain_radius, seed)
+
+
+def _build_chart(spec: NormSpec, e0: Array, r: float, domain_radius: float | None,
+                 seed: int) -> Chart:
+    """``build_chart`` at a checked ``e0`` whose norm is ``r``."""
     frame = tangent_frame(spec, e0, seed=seed)
-    r = eval_norm(spec, frame.base_point)
-    if domain_radius is None:
-        domain_radius = 0.25 * r
-    elif domain_radius <= 0.0:
-        raise ValueError("domain_radius must be positive")
-    return Chart(spec, frame, projection_pair(frame), float(domain_radius), r)
+    radius = 0.25 * r if domain_radius is None else domain_radius
+    return Chart(spec, frame, projection_pair(frame), radius, r)
 
 
 @dataclass(eq=False)
@@ -319,10 +316,9 @@ def sphere_chart_image_check(spec: NormSpec, chart: Chart, samples: int = 64, *,
     E = e0 + D * (rho * U / spec.values(D))[:, None]
     E *= (r / spec.values(E))[:, None]
     ray = np.abs(chart_forward_rows(chart, E) @ chart.frame.gradient.coeffs) / r
-    for e, value in zip(E, ray):
-        if value > ray_tol:
-            failures.append({"kind": "ray_component", "point": e.tolist(),
-                             "value": float(value)})
+    for i in np.flatnonzero(ray > ray_tol):
+        failures.append({"kind": "ray_component", "point": E[i].tolist(),
+                         "value": float(ray[i])})
 
     defect = np.empty(0)
     if n > 1:
@@ -330,18 +326,16 @@ def sphere_chart_image_check(spec: NormSpec, chart: Chart, samples: int = 64, *,
         C = (chart.frame.basis.T @ W[:, :, None])[:, :, 0]
         C *= (rho * U / spec.values(C))[:, None]
         E, errors = chart_inverse_rows(chart, C)
-        inverted = np.array([err is None for err in errors], dtype=bool)
-        defect = np.abs(spec.values(E[inverted]) - r) / r
-        defects = iter(defect)
-        for c, e, err in zip(C, E, errors):
-            if err is not None:
+        failed = np.array([err is not None for err in errors], dtype=bool)
+        defect = np.zeros(len(C))
+        defect[~failed] = np.abs(spec.values(E[~failed]) - r) / r
+        for i in np.flatnonzero(failed | (defect > norm_tol)):
+            if failed[i]:
                 failures.append({"kind": "inverse_convergence",
-                                 "point": c.tolist(), "value": str(err)})
-                continue
-            value = float(next(defects))
-            if value > norm_tol:
-                failures.append({"kind": "norm_defect", "point": e.tolist(),
-                                 "value": value})
+                                 "point": C[i].tolist(), "value": str(errors[i])})
+            else:
+                failures.append({"kind": "norm_defect", "point": E[i].tolist(),
+                                 "value": float(defect[i])})
 
     return ChartImageReport(samples=samples,
                             max_ray_component=float(ray.max(initial=0.0)),
@@ -356,9 +350,7 @@ def scale_chart(chart: Chart, r: float) -> Chart:
     parallel tangent hyperplanes along each ray, and the gradient
     functional is degree-0 homogeneous.
     """
-    r = float(r)
-    if r <= 0.0:
-        raise ValueError("scale factor must be positive")
+    r = positive_finite(r, "scale factor")
     frame = chart.frame
     base = r * frame.base_point
     grad = GradientFunctional(frame.gradient.coeffs, base)

@@ -13,6 +13,7 @@ or residual over tolerance), 2 malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ import jsonschema
 import numpy as np
 
 from . import __version__
-from ._linalg import sized_directions
+from ._linalg import positive_finite, sized_directions
 from .charts import build_chart, chart_forward_rows, chart_inverse_rows, \
     projection_continuity_probe, sphere_chart_image_check
 from .errors import ChartDomainError, GeometryError, NotDifferentiableError
@@ -42,6 +43,9 @@ _DEFAULTS = {
     "decades": 3,
     "count": 100,
 }
+
+#: Overrides that must be finite and positive when given.
+_POSITIVE_REALS = ("classify_tol", "grad_tol", "sample_radius", "chart_radius")
 
 #: Largest closed-form vs fd gradient gap that ``grad`` accepts.
 ANALYTIC_TOL = 1e-6
@@ -65,6 +69,9 @@ class AnalysisRequest:
         bad = set(self.tolerances) - set(_DEFAULTS)
         if bad:
             raise ValueError(f"unknown tolerance overrides: {sorted(bad)}")
+        for name in _POSITIVE_REALS:
+            if self.tolerances.get(name) is not None:
+                positive_finite(self.tolerances[name], name)
 
     def option(self, name):
         value = self.tolerances.get(name)
@@ -108,10 +115,15 @@ def _load_schema() -> dict:
     return json.loads(text)
 
 
+@functools.cache
+def _validator() -> jsonschema.Draft202012Validator:
+    """The shipped schema's validator, built once per process."""
+    return jsonschema.Draft202012Validator(_load_schema())
+
+
 def validate_report(report: dict) -> None:
     """Raise the best-matching ``ValidationError`` if ``report`` breaks the schema."""
-    error = jsonschema.exceptions.best_match(
-        jsonschema.Draft202012Validator(_load_schema()).iter_errors(report))
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(report))
     if error is not None:
         raise error
 
@@ -396,6 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The CLI's parser, built once per process; parsing leaves it unchanged.
+_parser = functools.cache(build_parser)
+
+
 def _request_from_args(args) -> AnalysisRequest:
     spec = spec_from_dict(json.loads(Path(args.spec).read_text(encoding="utf-8")))
     tolerances = {}
@@ -430,8 +446,7 @@ def _attach_point_values(argv: list[str]) -> list[str]:
 
 def run_cli(argv=None) -> int:
     """Entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(_attach_point_values(sys.argv[1:] if argv is None else argv))
+    args = _parser().parse_args(_attach_point_values(sys.argv[1:] if argv is None else argv))
     try:
         request = _request_from_args(args)
         report, lines = run_request(request)

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import Array, frozen_copy, sized_directions
+from ._linalg import Array, frozen_copy, positive_finite, sized_directions
 from .errors import (DecompositionError, EstimationError, NonManifoldSuspected,
                      NotDifferentiableError)
-from .charts import build_chart, sphere_chart_image_check
-from .norms import GradientFunctional, NormSpec, as_vector, eval_norm, fd_gradient
+from .charts import _build_chart, sphere_chart_image_check
+from .norms import GradientFunctional, NormSpec, _fd_gradient, as_vector, eval_norm
 
 #: Fit residuals above this fraction of the sample radius mean "not flat":
 #: a smooth sphere's residual is o(radius) while a corner's is Theta(radius).
@@ -51,8 +51,8 @@ class EstimatedTangent:
             raise ValueError("sample_radius must be positive")
         if self.residual > NON_MANIFOLD_RESIDUAL_FRACTION * self.sample_radius:
             raise ValueError("residual exceeds the flatness threshold")
-        if np.linalg.matrix_rank(basis) < n - 1:
-            raise ValueError("tangent basis is rank deficient")
+        if not np.allclose(basis @ basis.T, np.eye(n - 1), rtol=0.0, atol=1e-9):
+            raise ValueError("tangent basis rows must be orthonormal")
         object.__setattr__(self, "base_point", base)
         object.__setattr__(self, "basis", frozen_copy(basis))
 
@@ -77,10 +77,15 @@ def estimate_tangent(spec: NormSpec, e0, sample_radius: float,
     when the samples are degenerate.
     """
     e0 = as_vector(e0, spec.dim)
+    return _estimate_tangent(spec, e0, eval_norm(spec, e0), sample_radius, samples, seed)
+
+
+def _estimate_tangent(spec: NormSpec, e0: Array, r: float, sample_radius: float,
+                      samples: int | None, seed: int) -> EstimatedTangent:
+    """``estimate_tangent`` at a checked ``e0`` whose norm is ``r``."""
     n = spec.dim
     if n < 2:
         raise ValueError("tangent estimation needs dimension >= 2")
-    r = eval_norm(spec, e0)
     if r == 0.0:
         raise ValueError("base point must be nonzero")
     sample_radius = float(sample_radius)
@@ -110,24 +115,27 @@ def estimate_tangent(spec: NormSpec, e0, sample_radius: float,
 def geometric_gradient(tangent: EstimatedTangent, spec: NormSpec) -> GeometricDerivative:
     """Derivative functional determined by the tangent hyperplane alone.
 
-    Solves for the unique functional that vanishes on the tangent basis
-    and sends the base point to its norm. Applied to any h = tau +
-    lambda * e0 it returns lambda * |e0|: the component of h along the
-    ray, measured in norm units. Raises DecompositionError if the base
-    point (numerically) lies inside the fitted hyperplane. The base point
-    enters as e0 / |e0| with right-hand side 1, so the system's
-    conditioning does not depend on the scale of e0.
+    The unique functional that vanishes on the tangent basis and sends
+    the base point to its norm. Applied to any h = tau + lambda * e0 it
+    returns lambda * |e0|: the component of h along the ray, measured in
+    norm units. With orthonormal basis rows B it is the closed form
+    |e0| * w / (w . e0), where w = e0 - B^T B e0 is the part of e0 normal
+    to the hyperplane; both sides scale with e0, so the result does not
+    depend on its scale. Raises DecompositionError if the base point
+    (numerically) lies inside the fitted hyperplane, |w| <= 1e-10 |e0|_2.
     """
+    return _geometric_gradient(tangent, eval_norm(spec, tangent.base_point))
+
+
+def _geometric_gradient(tangent: EstimatedTangent, r: float) -> GeometricDerivative:
+    """``geometric_gradient`` with the base point's norm ``r`` given."""
     e0 = tangent.base_point
-    system = np.vstack([tangent.basis, e0 / eval_norm(spec, e0)])
-    singular = np.linalg.svd(system, compute_uv=False)
-    if singular[-1] <= 1e-10 * singular[0]:
+    basis = tangent.basis
+    w = e0 - basis.T @ (basis @ e0)
+    if np.linalg.norm(w) <= 1e-10 * np.linalg.norm(e0):
         raise DecompositionError("base point lies in the estimated tangent; "
                                  "the estimation must have failed")
-    rhs = np.zeros(e0.size)
-    rhs[-1] = 1.0
-    coeffs = np.linalg.solve(system, rhs)
-    return GeometricDerivative(GradientFunctional(coeffs, e0), tangent)
+    return GeometricDerivative(GradientFunctional(r * w / (w @ e0), e0), tangent)
 
 
 @dataclass(eq=False)
@@ -247,22 +255,31 @@ def geometric_check(spec: NormSpec, e0, *, sample_radius: float | None = None,
     """Estimate the tangent at ``e0``, rebuild the derivative, compare with fd.
 
     Defaults: ``sample_radius`` = 1e-3 * |e0|, ``gradient_tol`` =
-    10 * sample_radius / |e0|. Without a tangent, fd is not computed.
+    10 * sample_radius / |e0|. A given ``gradient_tol`` must be finite and
+    positive. Without a tangent, fd is not computed.
     """
     e0 = as_vector(e0, spec.dim)
-    r = eval_norm(spec, e0)
+    return _geometric_check(spec, e0, eval_norm(spec, e0), sample_radius, gradient_tol,
+                            seed)
+
+
+def _geometric_check(spec: NormSpec, e0: Array, r: float, sample_radius: float | None,
+                     gradient_tol: float | None, seed: int) -> GeometricCheck:
+    """``geometric_check`` at a checked ``e0`` whose norm is ``r``."""
     if r == 0.0:
         raise ValueError("base point must be nonzero")
     if sample_radius is None:
         sample_radius = 1e-3 * r
     if gradient_tol is None:
         gradient_tol = 10.0 * sample_radius / r
+    else:
+        gradient_tol = positive_finite(gradient_tol, "gradient_tol")
     try:
-        tangent = estimate_tangent(spec, e0, sample_radius, seed=seed)
+        tangent = _estimate_tangent(spec, e0, r, sample_radius, None, seed)
     except EstimationError as exc:  # NonManifoldSuspected included
         return GeometricCheck(gradient_tol, exc)
-    grad_geom = geometric_gradient(tangent, spec).functional.coeffs
-    grad_fd = fd_gradient(spec, e0).coeffs
+    grad_geom = _geometric_gradient(tangent, r).functional.coeffs
+    grad_fd = _fd_gradient(spec, e0, r).coeffs
     return GeometricCheck(gradient_tol, None, grad_fd, grad_geom,
                           float(np.max(np.abs(grad_geom - grad_fd))))
 
@@ -277,16 +294,17 @@ def equivalence_roundtrip(spec: NormSpec, e0, *, sample_radius: float | None = N
     compare it with the central-difference oracle. A consistent point
     either passes both routes or fails both (corner detected analytically
     and geometrically); anything else is reported as a violation, which a
-    correct implementation should never produce.
+    correct implementation should never produce. The norm of ``e0`` is
+    evaluated once and passed to both routes.
     """
     e0 = as_vector(e0, spec.dim)
-    geo = geometric_check(spec, e0, sample_radius=sample_radius,
-                          gradient_tol=gradient_tol, seed=seed)
+    r = eval_norm(spec, e0)
+    geo = _geometric_check(spec, e0, r, sample_radius, gradient_tol, seed)
     smooth = True
     chart_residual = None
     chart_ok = False
     try:
-        chart = build_chart(spec, e0, seed=seed)
+        chart = _build_chart(spec, e0, r, None, seed)
         image = sphere_chart_image_check(spec, chart, samples=32, seed=seed)
         chart_residual = max(image.max_ray_component, image.max_norm_defect)
         chart_ok = image.passed

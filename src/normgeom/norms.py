@@ -19,7 +19,7 @@ from typing import ClassVar, TypeAlias
 import numpy as np
 from numpy.typing import NDArray
 
-from ._linalg import extrapolate_to_zero, frozen_copy
+from ._linalg import extrapolate_to_zero, frozen_copy, positive_finite
 from .errors import NotDifferentiableError
 
 Vector: TypeAlias = NDArray[np.float64]
@@ -422,7 +422,12 @@ def fd_gradient(spec: NormSpec, e0, step: float | None = None) -> GradientFuncti
     e0 = as_vector(e0, spec.dim)
     if not np.any(e0):
         raise ValueError("cannot differentiate at the origin")
-    r = eval_norm(spec, e0)
+    return _fd_gradient(spec, e0, eval_norm(spec, e0), step)
+
+
+def _fd_gradient(spec: NormSpec, e0: Vector, r: float,
+                 step: float | None = None) -> GradientFunctional:
+    """``fd_gradient`` at a checked nonzero ``e0`` whose norm is ``r``."""
     step = float(np.cbrt(np.finfo(float).eps)) * r if step is None else float(step)
     if not (0.0 < step < r / 10.0):
         raise ValueError(f"step must lie in (0, {r / 10.0:.3e}), got {step:.3e}")
@@ -469,11 +474,13 @@ def classify_point(spec: NormSpec, e0, *, tol: float = CLASSIFY_TOL,
     is returned with its one-sided slopes.
 
     The probes run at u = e0 / |e0|: slopes and the gradient have degree
-    0, so the verdict does not depend on the scale of ``e0``.
+    0, so the verdict does not depend on the scale of ``e0``. ``tol`` must
+    be finite and positive.
     """
     e0 = as_vector(e0, spec.dim)
     if not np.any(e0):
         raise ValueError("cannot classify the origin")
+    tol = positive_finite(tol, "tol")
     u = e0 / eval_norm(spec, e0)
     n = spec.dim
 

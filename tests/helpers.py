@@ -2,9 +2,11 @@
 
 import numpy as np
 
-from normgeom import (DEFAULT_STEP_SEQUENCE, TIE_REL_TOL, L1Norm, LInfNorm, LpNorm,
+from normgeom import (DEFAULT_STEP_SEQUENCE, TIE_REL_TOL, ChartDomainError,
+                      ConvergenceError, DecompositionError, L1Norm, LInfNorm, LpNorm,
                       PolyhedralNorm, ProductMaxNorm, QuadraticNorm, product_split)
 from normgeom._linalg import extrapolate_to_zero
+from normgeom.norms import as_rows
 
 
 def central_diff_gradient(fn, x, step):
@@ -69,6 +71,78 @@ def sphere_sample_reference(spec, count, seed):
         x = rng.standard_normal(spec.dim)
         points.append((x / spec.value(x)).tolist())
     return points
+
+
+def geometric_gradient_coeffs_reference(tangent, spec):
+    """``geometric_gradient``'s coefficients by SVD plus a linear solve.
+
+    Stacks the tangent basis over e0 / |e0| and solves for the functional
+    that is 0 on the basis and 1 on e0 / |e0|; raises DecompositionError
+    when the smallest singular value is below 1e-10 of the largest.
+    """
+    e0 = tangent.base_point
+    system = np.vstack([tangent.basis, e0 / spec.value(e0)])
+    singular = np.linalg.svd(system, compute_uv=False)
+    if singular[-1] <= 1e-10 * singular[0]:
+        raise DecompositionError("base point lies in the estimated tangent")
+    rhs = np.zeros(e0.size)
+    rhs[-1] = 1.0
+    return np.linalg.solve(system, rhs)
+
+
+def chart_inverse_rows_reference(chart, C):
+    """The former ``chart_inverse_rows``: lockstep Newton on the vector residual.
+
+    Each iteration maps its iterates forward through the tangent
+    projection matrix and takes the Euclidean norm of phi(E) - c; a row
+    retires at 1e-12 |e0|_2 and stalls above 1e-10 |e0|_2, and each step
+    moves along e0 by the residual's ray part over the slope.
+    """
+    C = as_rows(C, chart.frame.dim)
+    k = C.shape[0]
+    errors = [None] * k
+    for i in np.flatnonzero(chart.spec.values(C) > chart.domain_radius * (1.0 + 1e-9)):
+        errors[i] = ChartDomainError("chart coordinates outside the domain radius")
+    base = chart.frame.base_point
+    g0 = chart.frame.gradient.coeffs
+    g0_base = chart.frame.gradient.apply(base)
+    scale = float(np.linalg.norm(base))
+    E = base + C
+    out = np.full_like(C, np.nan)
+    best_res = np.full(k, np.inf)
+    active = np.flatnonzero([err is None for err in errors])
+    for _ in range(50):
+        finite = np.isfinite(E[active]).all(axis=1)
+        for i in active[~finite]:
+            errors[i] = ConvergenceError("iterate left the admissible region")
+        active = active[finite]
+        if not active.size:
+            break
+        Ea = E[active]
+        norms = chart.spec.values(Ea)
+        tangent_part = (chart.projections.onto_tangent @ Ea[:, :, None])[:, :, 0]
+        forward = tangent_part + ((norms - chart.base_norm) / chart.base_norm)[:, None] * base
+        residuals = forward - C[active]
+        res = np.linalg.norm(residuals, axis=1)
+        better = res < best_res[active]
+        out[active[better]] = Ea[better]
+        best_res[active[better]] = res[better]
+        done = res <= 1e-12 * scale
+        out[active[done]] = Ea[done]
+        active, Ea, norms, residuals = active[~done], Ea[~done], norms[~done], residuals[~done]
+        slope = chart.spec._gradient_rows(Ea, norms) @ base
+        usable = slope != 0.0
+        for i in active[~usable]:
+            errors[i] = ConvergenceError("newton step failed: zero slope along the ray")
+        active, Ea, residuals, slope = (active[usable], Ea[usable], residuals[usable],
+                                        slope[usable])
+        step = chart.base_norm * (residuals @ g0) / g0_base / slope
+        E[active] = Ea - step[:, None] * base
+    for i in active:
+        if best_res[i] > 1e-10 * scale:
+            errors[i] = ConvergenceError("newton stalled")
+    out[[i for i, err in enumerate(errors) if err is not None]] = np.nan
+    return out, errors
 
 
 def _sole_attainer(vals):

@@ -3,16 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normgeom import (ChartDomainError, ConvergenceError, DecompositionError,
+from normgeom import (Chart, ChartDomainError, ConvergenceError, DecompositionError,
                       L1Norm, LInfNorm, LpNorm, NotDifferentiableError,
                       PolyhedralNorm, ProductMaxNorm, QuadraticNorm, TangentFrame,
-                      alpha_operator, build_chart, chart_forward, chart_inverse,
-                      eval_norm, fd_gradient, projection_continuity_probe,
+                      alpha_operator, analytic_gradient, build_chart, chart_forward,
+                      chart_inverse, eval_norm, fd_gradient, projection_continuity_probe,
                       projection_pair, scale_chart, sphere_chart_image_check,
                       tangent_frame)
-from normgeom._linalg import sized_directions
+from normgeom._linalg import orthonormal_complement, sized_directions
 from normgeom.charts import chart_inverse_rows
-from helpers import FAMILIES, fd_jacobian, generic_point, smooth_specs, tie_point
+from helpers import (FAMILIES, chart_inverse_rows_reference, fd_jacobian, generic_point,
+                     smooth_specs, tie_point)
 
 EUCLID2 = QuadraticNorm(np.eye(2))
 
@@ -220,6 +221,66 @@ def test_lockstep_newton_isolates_a_singular_row():
     assert errors[0] is None and errors[2] is None
     assert E[0] == pytest.approx(chart_inverse(chart, C[0]), abs=1e-12)
     assert E[2] == pytest.approx(chart_inverse(chart, C[2]), abs=1e-12)
+
+
+def _same_rows_as_the_reference(chart, C):
+    """``chart_inverse_rows`` against the vector-residual reference, row by row."""
+    E, errors = chart_inverse_rows(chart, C)
+    # the reference may step an iterate onto the origin, where its slope is 0/0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ref, ref_errors = chart_inverse_rows_reference(chart, C)
+    assert [type(err) for err in errors] == [type(err) for err in ref_errors]
+    ok = np.array([err is None for err in errors])
+    scale = float(np.linalg.norm(chart.frame.base_point))
+    assert np.all(np.abs(E[ok] - ref[ok]) <= 1e-12 * scale)
+    return errors
+
+
+@pytest.mark.parametrize("name,spec", smooth_specs())
+@given(seed=st.integers(0, 2**32 - 1), decade=st.floats(-8.0, 8.0))
+@settings(max_examples=15, deadline=None)
+def test_scalar_newton_matches_the_vector_residual(name, spec, seed, decade):
+    # tangent parts up to 3 |e0| with ray parts lambda: the rows with
+    # lambda <= -1 ask for |E| <= 0 and have no preimage, so they stall;
+    # three rows at 0.2 |e0| invert (see ``build_chart``), and two more
+    # lie beyond the domain radius 10 |e0|
+    rng = np.random.default_rng(seed)
+    x = 10.0 ** decade * generic_point(rng, spec.dim)
+    r = eval_norm(spec, x)
+    chart = build_chart(spec, x, domain_radius=10.0 * r)
+    lam = np.array([0.0, 0.1, -0.5, -1.0, -2.0] * 3)
+    T = rng.standard_normal((lam.size, spec.dim - 1)) @ chart.frame.basis
+    unit = T / spec.values(T)[:, None]
+    T = r * rng.uniform(0.01, 3.0, lam.size)[:, None] * unit
+    C = np.vstack([T + lam[:, None] * x, 0.2 * r * unit[:3], 11.0 * x, 11.0 * r * unit[0]])
+    errors = _same_rows_as_the_reference(chart, C)
+    assert all(err is None for err in errors[lam.size:lam.size + 3])
+    assert isinstance(errors[-1], ChartDomainError) and isinstance(errors[-2], ChartDomainError)
+    assert all(isinstance(errors[i], ConvergenceError) for i in np.flatnonzero(lam <= -1.0))
+
+
+@pytest.mark.parametrize("name,spec", [(name, spec) for name, spec in smooth_specs()
+                                       if not name.startswith("spd")])
+@given(seed=st.integers(0, 2**32 - 1), decade=st.floats(-8.0, 8.0))
+@settings(max_examples=10, deadline=None)
+def test_scalar_newton_fails_zero_slope_rows_as_the_vector_residual(name, spec, seed, decade):
+    # at e0 on an axis the target c = -e0 + t, t off that axis, starts
+    # Newton at t, where these norms' gradient annihilates e0 exactly. The
+    # chart is assembled from the closed-form gradient: the classifier
+    # reads an l^p axis point as a corner for p < 2 (README, known limitation)
+    rng = np.random.default_rng(seed)
+    axis = int(rng.integers(spec.dim))
+    x = np.zeros(spec.dim)
+    x[axis] = 10.0 ** decade * rng.choice([-1.0, 1.0])
+    r = eval_norm(spec, x)
+    g = analytic_gradient(spec, x)
+    frame = TangentFrame(x, orthonormal_complement(g.coeffs), g)
+    chart = Chart(spec, frame, projection_pair(frame), 10.0 * r, r)
+    T = rng.standard_normal((4, spec.dim))
+    T[:, axis] = 0.0
+    T *= (r * rng.uniform(0.1, 2.0, 4) / spec.values(T))[:, None]
+    errors = _same_rows_as_the_reference(chart, T - x)
+    assert all("zero slope" in str(err) for err in errors)
 
 
 def test_build_chart_keeps_its_radii():
@@ -453,6 +514,20 @@ def test_scale_chart_rejects_nonpositive():
         scale_chart(chart, 0.0)
     with pytest.raises(ValueError):
         scale_chart(chart, -2.0)
+
+
+@pytest.mark.parametrize("radius", [float("nan"), float("inf"), 0.0, -1.0])
+def test_chart_radii_must_be_finite_and_positive(radius):
+    # a NaN radius used to build a chart whose domain check never fired
+    spec = LpNorm(4.0, 3)
+    x = [0.3, -0.5, 0.8]
+    with pytest.raises(ValueError, match="domain_radius must be finite and positive"):
+        build_chart(spec, x, radius)
+    chart = build_chart(spec, x)
+    with pytest.raises(ValueError, match="finite and positive"):
+        scale_chart(chart, radius)
+    with pytest.raises(ValueError, match="base_norm must be finite and positive"):
+        Chart(spec, chart.frame, chart.projections, chart.domain_radius, radius)
 
 
 # ------------------------------------------------------------ alpha operator

@@ -198,11 +198,67 @@ def test_byte_identical_reports_and_csv(square_spec, tmp_path):
 
 
 def test_python_m_normgeom_runs_the_cli():
-    env = {**os.environ, "PYTHONPATH": str(Path(normgeom.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "normgeom", "--help"],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=_src_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "sphere-sample" in proc.stdout
+
+
+def _src_env():
+    return {**os.environ, "PYTHONPATH": str(Path(normgeom.__file__).parents[1])}
+
+
+def test_import_leaves_the_cli_unloaded():
+    # a fresh interpreter: this one has imported jsonschema already
+    code = (
+        "import sys\n"
+        "import normgeom\n"
+        "loaded = [m for m in ('normgeom.cli', 'jsonschema', 'argparse') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "run_cli = normgeom.run_cli\n"
+        "from normgeom import cli\n"
+        "assert run_cli is cli.run_cli\n"
+        "names = {}\n"
+        "exec('from normgeom import *', names)\n"
+        "missing = [n for n in normgeom.__all__ if n not in names]\n"
+        "assert not missing, missing\n")
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
+                          text=True, env=_src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_one_parser_and_validator_serve_a_process(tmp_path, capsys):
+    # the same runs in this process and each in a fresh one: exit codes,
+    # output and report bytes agree
+    spec = tmp_path / "lp4.json"
+    spec.write_text(json.dumps({"type": "lp", "p": 4, "dim": 3}))
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"type": "lp", "p": }')
+    runs = [["classify", str(bad), "--point", "1,1,1"],
+            ["roundtrip", str(spec), "--point", "0.3,-0.5,0.8", "--out"],
+            ["classify", str(spec), "--point", "1,x,0"],
+            ["roundtrip", str(spec), "--point", "0.3,-0.5,0.8", "--out"]]
+    seen = {}
+    for mode in ("here", "fresh"):
+        for i, args in enumerate(runs):
+            out = tmp_path / f"{mode}-{i}.json"
+            args = args + [str(out)] if args[-1] == "--out" else args
+            if mode == "here":
+                code = run_cli(args)
+                captured = capsys.readouterr()
+                got = (code, captured.out, captured.err)
+            else:
+                proc = subprocess.run([sys.executable, "-W", "error", "-m", "normgeom", *args],
+                                      capture_output=True, text=True, env=_src_env(),
+                                      timeout=60)
+                got = (proc.returncode, proc.stdout, proc.stderr)
+            seen[mode, i] = got + (out.read_bytes() if out.exists() else None,)
+    for i in range(len(runs)):
+        assert seen["here", i] == seen["fresh", i], runs[i]
+    assert [seen["here", i][0] for i in range(len(runs))] == [2, 0, 2, 0]
+    assert seen["here", 1][3] == seen["here", 3][3]
+    assert cli._parser.cache_info().currsize == 1
+    assert cli._validator.cache_info().currsize == 1
 
 
 def test_seed_changes_report(square_spec, tmp_path):
@@ -267,6 +323,37 @@ def test_missing_points_exits_two(square_spec):
 
 def test_dimension_mismatch_exits_two(square_spec):
     assert run_cli(["classify", square_spec, "--point", "1,1,1"]) == 2
+
+
+@pytest.fixture
+def lp4_spec(tmp_path):
+    path = tmp_path / "lp4.json"
+    path.write_text(json.dumps({"type": "lp", "p": 4, "dim": 3}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command,flag,key", [
+    ("classify", "--classify-tol", "classify_tol"),
+    ("grad", "--grad-tol", "grad_tol"),
+    ("roundtrip", "--grad-tol", "grad_tol"),
+    ("grad", "--sample-radius", "sample_radius"),
+    ("chart", "--radius", "chart_radius"),
+])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_tolerance_that_is_not_finite_and_positive_exits_two(lp4_spec, capsys, command,
+                                                              flag, key, value):
+    # a NaN --classify-tol used to read NonSmooth with all_passed=True
+    code = run_cli([command, lp4_spec, "--point", "0.3,-0.5,0.8", f"{flag}={value}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"error: {key} must be finite and positive" in captured.err
+
+
+def test_request_rejects_a_tolerance_that_is_not_finite_and_positive():
+    with pytest.raises(ValueError, match="classify_tol must be finite and positive"):
+        AnalysisRequest(norm=QuadraticNorm(np.eye(2)), points=[[1.0, 0.0]],
+                        commands=("classify",), tolerances={"classify_tol": float("nan")})
 
 
 # ----------------------------------------------------------- library surface

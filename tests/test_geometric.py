@@ -13,7 +13,7 @@ from normgeom import (DecompositionError, EstimatedTangent, L1Norm, LInfNorm,
                       geometric_gradient, projection_pair, tangent_frame)
 from normgeom import charts, geometric
 from helpers import (FAMILIES, central_diff_gradient, expansion_reference, generic_point,
-                     smooth_specs, tie_point)
+                     geometric_gradient_coeffs_reference, smooth_specs, tie_point)
 
 EUCLID2 = QuadraticNorm(np.eye(2))
 
@@ -56,6 +56,13 @@ def test_estimated_tangent_enforces_flatness_invariant():
     with pytest.raises(ValueError):
         EstimatedTangent(np.array([1.0, 0.0]), np.array([[0.0, 1.0]]),
                          sample_radius=1e-3, residual=5e-4)
+
+
+@pytest.mark.parametrize("basis", [[[0.0, 2.0]], [[0.6, 0.6]], [[0.0, 0.0]]])
+def test_estimated_tangent_requires_orthonormal_rows(basis):
+    with pytest.raises(ValueError, match="orthonormal"):
+        EstimatedTangent(np.array([1.0, 0.0]), np.array(basis),
+                         sample_radius=1e-3, residual=0.0)
 
 
 # ------------------------------------------------------------ reconstruction
@@ -105,6 +112,40 @@ def test_geometric_gradient_rejects_degenerate_tangent():
                                     basis=np.array([[1.0, 0.0]]))
     with pytest.raises(DecompositionError):
         geometric_gradient(tangent, EUCLID2)
+
+
+@pytest.mark.parametrize("name,spec", smooth_specs())
+@given(seed=st.integers(0, 2**32 - 1), decade=st.floats(-8.0, 8.0))
+@settings(max_examples=15, deadline=None)
+def test_closed_form_geometric_gradient_matches_the_solve(name, spec, seed, decade):
+    x = 10.0 ** decade * generic_point(np.random.default_rng(seed), spec.dim)
+    tangent = estimate_tangent(spec, x, 1e-3 * eval_norm(spec, x), seed=seed % 1000)
+    got = geometric_gradient(tangent, spec).functional.coeffs
+    want = geometric_gradient_coeffs_reference(tangent, spec)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@given(decade=st.floats(-8.0, 8.0), tilt=st.sampled_from([0.0, 1e-14, 1e-12]))
+@settings(max_examples=20, deadline=None)
+def test_closed_form_and_solve_both_reject_a_tangent_through_the_base(decade, tilt):
+    spec = LpNorm(4.0, 3)
+    x = 10.0 ** decade * np.array([0.6, 0.8, 0.0])
+    row = np.array([0.6, 0.8, tilt]) / np.linalg.norm([0.6, 0.8, tilt])
+    tangent = EstimatedTangent(x, [row, [0.0, 0.0, 1.0] - row[2] * row],
+                               sample_radius=1e-3 * eval_norm(spec, x), residual=0.0)
+    with pytest.raises(DecompositionError):
+        geometric_gradient_coeffs_reference(tangent, spec)
+    with pytest.raises(DecompositionError):
+        geometric_gradient(tangent, spec)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0])
+def test_gradient_tolerance_must_be_finite_and_positive(tol):
+    # a NaN tolerance used to turn every comparison into a "violation"
+    with pytest.raises(ValueError, match="gradient_tol must be finite and positive"):
+        geometric.geometric_check(LpNorm(4.0, 3), [0.3, -0.5, 0.8], gradient_tol=tol)
+    with pytest.raises(ValueError, match="gradient_tol must be finite and positive"):
+        equivalence_roundtrip(LpNorm(4.0, 3), [0.3, -0.5, 0.8], gradient_tol=tol)
 
 
 @pytest.mark.parametrize("name,spec", smooth_specs())

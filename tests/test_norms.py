@@ -419,6 +419,13 @@ def test_classify_corner_of_max_norm():
     assert verdict.right_deriv - verdict.left_deriv > 1e-6
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0])
+def test_classify_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    # at the smooth l^4 point a NaN or negative threshold used to read "corner"
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        classify_point(LpNorm(4.0, 3), [0.3, -0.5, 0.8], tol=tol)
+
+
 def test_classify_smooth_facet_point():
     verdict = classify_point(LInfNorm(2), [1.0, 0.5])
     assert verdict.smooth
