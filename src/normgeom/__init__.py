@@ -24,15 +24,13 @@ from .norms import (CLASSIFY_TOL, DEFAULT_STEP_SEQUENCE, TIE_REL_TOL,
                     classify_point, eval_norm, fd_gradient,
                     one_sided_derivative, product_embed, product_norm_constants,
                     product_split, spec_from_dict, spec_to_dict)
-from .charts import (AlphaOperator, Chart, ChartImageReport, ProbeRow,
-                     ProjectionPair, TangentFrame, alpha_operator, build_chart,
-                     chart_forward, chart_inverse, projection_continuity_probe,
-                     projection_pair, scale_chart, sphere_chart_image_check,
-                     tangent_frame)
+from .charts import (AlphaOperator, Chart, ChartImageReport, ProbeRow, TangentFrame,
+                     alpha_operator, build_chart, chart_forward, chart_inverse,
+                     projection_continuity_probe, scale_chart,
+                     sphere_chart_image_check, tangent_frame)
 from .geometric import (EstimatedTangent, ExpansionReport, ExpansionRow,
-                        GeometricDerivative, RoundtripReport,
-                        directional_expansion_check, equivalence_roundtrip,
-                        estimate_tangent, geometric_gradient)
+                        RoundtripReport, directional_expansion_check,
+                        equivalence_roundtrip, estimate_tangent, geometric_gradient)
 
 #: Names re-exported from ``cli``, resolved on first access (PEP 562).
 _CLI_NAMES = frozenset({"AnalysisRequest", "Report", "emit_plot_data", "run_cli",
@@ -60,14 +58,13 @@ __all__ = [
     "product_split", "product_norm_constants", "spec_from_dict", "spec_to_dict",
     "CLASSIFY_TOL", "TIE_REL_TOL", "DEFAULT_STEP_SEQUENCE",
     # charts
-    "TangentFrame", "ProjectionPair", "Chart", "ChartImageReport", "ProbeRow",
-    "AlphaOperator", "tangent_frame", "projection_pair", "build_chart",
-    "chart_forward", "chart_inverse", "sphere_chart_image_check", "scale_chart",
-    "alpha_operator", "projection_continuity_probe",
+    "TangentFrame", "Chart", "ChartImageReport", "ProbeRow", "AlphaOperator",
+    "tangent_frame", "build_chart", "chart_forward", "chart_inverse",
+    "sphere_chart_image_check", "scale_chart", "alpha_operator",
+    "projection_continuity_probe",
     # geometric
-    "EstimatedTangent", "GeometricDerivative", "ExpansionRow",
-    "ExpansionReport", "RoundtripReport", "estimate_tangent",
-    "geometric_gradient", "directional_expansion_check",
+    "EstimatedTangent", "ExpansionRow", "ExpansionReport", "RoundtripReport",
+    "estimate_tangent", "geometric_gradient", "directional_expansion_check",
     "equivalence_roundtrip",
     # cli
     "AnalysisRequest", "Report", "run_request", "run_cli", "emit_plot_data",

@@ -25,6 +25,34 @@ def positive_finite(value, name: str) -> float:
     return value
 
 
+def euclidean_norm(x, axis: int | None = None):
+    """|x|_2, or the norm of each vector along ``axis``, free of over- and underflow.
+
+    Each vector is scaled by the power of two of its largest |entry| first,
+    which is exact, so where the squares stay in range the result equals
+    ``np.linalg.norm``'s bit for bit.
+    """
+    x = np.asarray(x, dtype=float)
+    _, exp = np.frexp(np.abs(x).max(axis=axis, keepdims=True))
+    return np.ldexp(np.linalg.norm(np.ldexp(x, -exp), axis=axis), np.squeeze(exp, axis))
+
+
+def tangent_basis(basis, dim: int) -> Array:
+    """``basis`` as a read-only (dim - 1, dim) array of orthonormal rows.
+
+    The one check of a tangent basis, for frames and fitted tangents
+    alike: raises ValueError unless the shape fits and B B^T = I to 1e-9.
+    """
+    basis = np.atleast_2d(np.asarray(basis, dtype=float))
+    if basis.size == 0:
+        basis = basis.reshape(0, dim)
+    if basis.shape != (dim - 1, dim):
+        raise ValueError(f"basis must have shape {(dim - 1, dim)}, got {basis.shape}")
+    if not np.abs(basis @ basis.T - np.eye(dim - 1)).max(initial=0.0) <= 1e-9:
+        raise ValueError("tangent basis rows must be orthonormal")
+    return frozen_copy(basis)
+
+
 def orthonormal_complement(row: Array) -> Array:
     """Orthonormal basis (as rows) of the hyperplane {x : row @ x = 0}.
 

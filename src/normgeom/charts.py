@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import (Array, frozen_copy, oblique_projection,
-                      orthonormal_complement, positive_finite, sized_directions)
+from ._linalg import (Array, euclidean_norm, frozen_copy, oblique_projection,
+                      orthonormal_complement, positive_finite, sized_directions,
+                      tangent_basis)
 from .errors import (ChartDomainError, ConvergenceError, DecompositionError,
                      GeometryError, NotDifferentiableError)
 from .norms import (GradientFunctional, NormSpec, as_rows, as_vector, classify_point,
@@ -37,55 +38,41 @@ class TangentFrame:
 
     The tangent hyperplane is the null space of ``gradient``; the base
     point never lies in it, which is what makes the hyperplane a
-    codimension-1 complement of the ray.
+    codimension-1 complement of the ray. The frame determines both
+    projections of that splitting (``onto_ray``).
     """
 
     base_point: Array
-    basis: Array  # (dim - 1, dim), rows span the tangent hyperplane
+    basis: Array  # (dim - 1, dim), orthonormal rows spanning the tangent hyperplane
     gradient: GradientFunctional
 
     def __post_init__(self):
         base = frozen_copy(as_vector(self.base_point))
         n = base.size
-        basis = np.atleast_2d(np.asarray(self.basis, dtype=float))
-        if n == 1:
-            basis = basis.reshape(0, 1)
-        if basis.shape != (n - 1, n):
-            raise ValueError(f"basis must have shape {(n - 1, n)}, got {basis.shape}")
+        basis = tangent_basis(self.basis, n)
         g = self.gradient.coeffs
         if g.size != n:
             raise ValueError("gradient dimension mismatch")
         g_len = np.linalg.norm(g)
-        if abs(g @ base) <= 1e-12 * g_len * np.linalg.norm(base):
+        if abs(g @ base) <= 1e-12 * g_len * euclidean_norm(base):
             raise ValueError("base point lies in the tangent hyperplane")
-        if not np.all(np.abs(basis @ g) <= 1e-9 * g_len * np.linalg.norm(basis, axis=1)):
+        if not np.all(np.abs(basis @ g) <= 1e-9 * g_len):
             raise ValueError("basis vector not annihilated by the gradient")
-        if n > 1 and np.linalg.matrix_rank(basis) < n - 1:
-            raise ValueError("tangent basis is rank deficient")
         object.__setattr__(self, "base_point", base)
-        object.__setattr__(self, "basis", frozen_copy(basis))
+        object.__setattr__(self, "basis", basis)
 
     @property
     def dim(self) -> int:
         return self.base_point.size
 
+    @property
+    def onto_ray(self) -> Array:
+        """Projection onto the ray along the tangent hyperplane, e0 g^T / g(e0).
 
-@dataclass(frozen=True, eq=False)
-class ProjectionPair:
-    """The complementary projections induced by a tangent frame.
-
-    ``onto_ray`` maps onto the ray through the base point along the
-    tangent hyperplane; ``onto_tangent`` is its complement. They sum to
-    the identity and are each idempotent.
-    """
-
-    frame: TangentFrame
-    onto_ray: Array
-    onto_tangent: Array
-
-    def __post_init__(self):
-        object.__setattr__(self, "onto_ray", frozen_copy(self.onto_ray))
-        object.__setattr__(self, "onto_tangent", frozen_copy(self.onto_tangent))
+        Its complement I - onto_ray projects onto the tangent hyperplane.
+        """
+        return np.outer(self.base_point, self.gradient.coeffs) / self.gradient.apply(
+            self.base_point)
 
 
 def tangent_frame(spec: NormSpec, e0, *, seed: int = 0) -> TangentFrame:
@@ -106,14 +93,6 @@ def tangent_frame(spec: NormSpec, e0, *, seed: int = 0) -> TangentFrame:
     return TangentFrame(e0, orthonormal_complement(grad.coeffs), grad)
 
 
-def projection_pair(frame: TangentFrame) -> ProjectionPair:
-    """Build the ray/tangent projection matrices for a frame."""
-    e0 = frame.base_point
-    g = frame.gradient.coeffs
-    onto_ray = np.outer(e0, g) / frame.gradient.apply(e0)
-    return ProjectionPair(frame, onto_ray, np.eye(e0.size) - onto_ray)
-
-
 @dataclass(frozen=True, eq=False)
 class Chart:
     """Local normal-form chart of the norm around a smooth base point.
@@ -128,7 +107,6 @@ class Chart:
 
     spec: NormSpec
     frame: TangentFrame
-    projections: ProjectionPair
     domain_radius: float
     base_norm: float
 
@@ -141,17 +119,23 @@ class Chart:
 
 
 def chart_forward_rows(chart: Chart, E) -> Array:
-    """Chart images of the rows of ``E``; ``chart_forward`` on a whole stack."""
+    """Chart images of the rows of ``E``; ``chart_forward`` on a whole stack.
+
+    The split is a rank-1 update of each row: with r = |e0|,
+    phi(E) = E - (g(E) / g(e0) - (|E| - r) / r) e0.
+    """
     E = as_rows(E, chart.frame.dim)
-    offsets = chart.spec.values(E - chart.frame.base_point)
+    base = chart.frame.base_point
+    offsets = chart.spec.values(E - base)
     outside = np.flatnonzero(offsets > chart.domain_radius * (1.0 + _DOMAIN_SLACK))
     if outside.size:
         raise ChartDomainError(
             f"point at distance {offsets[outside[0]]:.3e} exceeds domain radius "
             f"{chart.domain_radius:.3e}")
-    tangent_part = (chart.projections.onto_tangent @ E[:, :, None])[:, :, 0]
-    defect = chart.spec.values(E) - chart.base_norm
-    return tangent_part + (defect / chart.base_norm)[:, None] * chart.frame.base_point
+    r = chart.base_norm
+    g = chart.frame.gradient
+    ray = E @ g.coeffs / g.apply(base) - (chart.spec.values(E) - r) / r
+    return E - ray[:, None] * base
 
 
 def chart_forward(chart: Chart, e) -> Array:
@@ -266,14 +250,13 @@ def _build_chart(spec: NormSpec, e0: Array, r: float, domain_radius: float | Non
     """``build_chart`` at a checked ``e0`` whose norm is ``r``."""
     frame = tangent_frame(spec, e0, seed=seed)
     radius = 0.25 * r if domain_radius is None else domain_radius
-    return Chart(spec, frame, projection_pair(frame), radius, r)
+    return Chart(spec, frame, radius, r)
 
 
 @dataclass(eq=False)
 class ChartImageReport:
     """Result of checking that a chart exchanges sphere and hyperplane."""
 
-    samples: int
     max_ray_component: float
     max_norm_defect: float
     failures: list = field(default_factory=list)
@@ -282,14 +265,17 @@ class ChartImageReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "max_ray_component": self.max_ray_component,
-            "max_norm_defect": self.max_norm_defect,
-            "failures": list(self.failures),
-            "passed": self.passed,
-        }
+
+def _near_base(spec: NormSpec, chart: Chart, rng: np.random.Generator, samples: int,
+               fraction: float) -> Array:
+    """Points around the chart's base at distances fraction * domain_radius * U.
+
+    One seeded draw of ``samples`` directions, then one of their sizes U
+    in [0.05, 1) (``sized_directions``); distances are measured by ``spec``.
+    """
+    D, U = sized_directions(rng, samples, chart.frame.dim, 0.05)
+    return chart.frame.base_point + D * (fraction * chart.domain_radius * U
+                                         / spec.values(D))[:, None]
 
 
 def sphere_chart_image_check(spec: NormSpec, chart: Chart, samples: int = 64, *,
@@ -305,15 +291,12 @@ def sphere_chart_image_check(spec: NormSpec, chart: Chart, samples: int = 64, *,
     """
     if samples < 1:
         raise ValueError("samples must be positive")
-    e0 = chart.frame.base_point
-    n = e0.size
+    n = chart.frame.dim
     r = chart.base_norm
     rng = np.random.default_rng(seed)
-    rho = 0.4 * chart.domain_radius
     failures: list[dict] = []
 
-    D, U = sized_directions(rng, samples, n, 0.05)
-    E = e0 + D * (rho * U / spec.values(D))[:, None]
+    E = _near_base(spec, chart, rng, samples, 0.4)
     E *= (r / spec.values(E))[:, None]
     ray = np.abs(chart_forward_rows(chart, E) @ chart.frame.gradient.coeffs) / r
     for i in np.flatnonzero(ray > ray_tol):
@@ -324,7 +307,7 @@ def sphere_chart_image_check(spec: NormSpec, chart: Chart, samples: int = 64, *,
     if n > 1:
         W, U = sized_directions(rng, samples, n - 1, 0.05)
         C = (chart.frame.basis.T @ W[:, :, None])[:, :, 0]
-        C *= (rho * U / spec.values(C))[:, None]
+        C *= (0.4 * chart.domain_radius * U / spec.values(C))[:, None]
         E, errors = chart_inverse_rows(chart, C)
         failed = np.array([err is not None for err in errors], dtype=bool)
         defect = np.zeros(len(C))
@@ -337,8 +320,7 @@ def sphere_chart_image_check(spec: NormSpec, chart: Chart, samples: int = 64, *,
                 failures.append({"kind": "norm_defect", "point": E[i].tolist(),
                                  "value": float(defect[i])})
 
-    return ChartImageReport(samples=samples,
-                            max_ray_component=float(ray.max(initial=0.0)),
+    return ChartImageReport(max_ray_component=float(ray.max(initial=0.0)),
                             max_norm_defect=float(defect.max(initial=0.0)),
                             failures=failures)
 
@@ -346,17 +328,14 @@ def sphere_chart_image_check(spec: NormSpec, chart: Chart, samples: int = 64, *,
 def scale_chart(chart: Chart, r: float) -> Chart:
     """Chart at r * e0 for the sphere of radius r * |e0|.
 
-    The tangent basis is reused unchanged: spheres of a common norm have
-    parallel tangent hyperplanes along each ray, and the gradient
-    functional is degree-0 homogeneous.
+    The tangent basis and the gradient are reused unchanged: spheres of a
+    common norm have parallel tangent hyperplanes along each ray, and the
+    gradient functional is degree-0 homogeneous.
     """
     r = positive_finite(r, "scale factor")
     frame = chart.frame
-    base = r * frame.base_point
-    grad = GradientFunctional(frame.gradient.coeffs, base)
-    new_frame = TangentFrame(base, frame.basis, grad)
-    return Chart(chart.spec, new_frame, projection_pair(new_frame),
-                 r * chart.domain_radius, r * chart.base_norm)
+    new_frame = TangentFrame(r * frame.base_point, frame.basis, frame.gradient)
+    return Chart(chart.spec, new_frame, r * chart.domain_radius, r * chart.base_norm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,13 +348,9 @@ class AlphaOperator:
     """
 
     matrix: Array
-    r0_basis: Array
-    n0_basis: Array
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", frozen_copy(self.matrix))
-        object.__setattr__(self, "r0_basis", frozen_copy(np.atleast_2d(self.r0_basis)))
-        object.__setattr__(self, "n0_basis", frozen_copy(np.atleast_2d(self.n0_basis)))
 
     def apply(self, x) -> Array:
         return self.matrix @ as_vector(x, self.matrix.shape[1])
@@ -416,7 +391,7 @@ def alpha_operator(n0, r0_basis, r1_basis) -> AlphaOperator:
         if float(np.linalg.norm(r1.T @ coords - y)) > 1e-10 * max(1.0, float(np.linalg.norm(y))):
             raise DecompositionError("graph point does not lie in the target complement")
 
-    return AlphaOperator(matrix, r0, n0_basis)
+    return AlphaOperator(matrix)
 
 
 @dataclass(frozen=True)
@@ -458,10 +433,10 @@ def projection_continuity_probe(spec: NormSpec, e0, deltas=None, *,
     if np.any(sizes[:-1] <= sizes[1:]):
         raise ValueError("deltas must be strictly decreasing in norm")
 
-    reference = projection_pair(tangent_frame(spec, e0, seed=seed)).onto_ray
+    reference = tangent_frame(spec, e0, seed=seed).onto_ray
     rows = []
     for delta, size in zip(deltas, sizes):
-        pair = projection_pair(tangent_frame(spec, e0 + delta, seed=seed))
-        diff = float(np.linalg.norm(pair.onto_ray - reference, 2))
+        moved = tangent_frame(spec, e0 + delta, seed=seed).onto_ray
+        diff = float(np.linalg.norm(moved - reference, 2))
         rows.append(ProbeRow(float(size), diff))
     return rows

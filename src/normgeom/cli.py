@@ -24,9 +24,9 @@ import jsonschema
 import numpy as np
 
 from . import __version__
-from ._linalg import positive_finite, sized_directions
-from .charts import build_chart, chart_forward_rows, chart_inverse_rows, \
-    projection_continuity_probe, sphere_chart_image_check
+from ._linalg import euclidean_norm, positive_finite
+from .charts import (_near_base, build_chart, chart_forward_rows, chart_inverse_rows,
+                     projection_continuity_probe, sphere_chart_image_check)
 from .errors import ChartDomainError, GeometryError, NotDifferentiableError
 from .geometric import equivalence_roundtrip, geometric_check
 from .norms import (CLASSIFY_TOL, NormSpec, analytic_gradient, as_vector,
@@ -204,13 +204,10 @@ def _cmd_classify(request: AnalysisRequest, point, seed: int):
 def _cmd_chart(request: AnalysisRequest, point, seed: int):
     spec = request.norm
     chart = build_chart(spec, point, request.option("chart_radius"), seed=seed)
-    image = sphere_chart_image_check(spec, chart,
-                                     samples=int(request.option("chart_samples")),
-                                     seed=seed)
-    r = chart.base_norm
     samples = int(request.option("chart_samples"))
-    D, sizes = sized_directions(np.random.default_rng(seed), samples, spec.dim, 0.05)
-    E = chart.frame.base_point + D * (0.5 * chart.domain_radius * sizes / spec.values(D))[:, None]
+    image = sphere_chart_image_check(spec, chart, samples=samples, seed=seed)
+    r = chart.base_norm
+    E = _near_base(spec, chart, np.random.default_rng(seed), samples, 0.5)
     C = chart_forward_rows(chart, E)
     form = np.abs(spec.values(E) - C @ chart.frame.gradient.coeffs - r) / r
     max_form = float(form.max(initial=0.0))
@@ -220,7 +217,7 @@ def _cmd_chart(request: AnalysisRequest, point, seed: int):
     for err in errors:
         if err is not None and not isinstance(err, ChartDomainError):
             raise err
-    roundtrip = (np.linalg.norm(back - E, axis=1) / np.linalg.norm(E, axis=1))[~outside]
+    roundtrip = (euclidean_norm(back - E, axis=1) / euclidean_norm(E, axis=1))[~outside]
     max_round = float(roundtrip.max(initial=0.0))
     left = int(outside.sum())
     ok = image.passed and max_form <= 1e-9 and max_round <= 1e-10 and left == 0

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import Array, frozen_copy, positive_finite, sized_directions
+from ._linalg import (Array, euclidean_norm, frozen_copy, positive_finite,
+                      sized_directions, tangent_basis)
 from .errors import (DecompositionError, EstimationError, NonManifoldSuspected,
                      NotDifferentiableError)
 from .charts import _build_chart, sphere_chart_image_check
@@ -43,26 +44,13 @@ class EstimatedTangent:
 
     def __post_init__(self):
         base = frozen_copy(as_vector(self.base_point))
-        n = base.size
-        basis = np.atleast_2d(np.asarray(self.basis, dtype=float))
-        if basis.shape != (n - 1, n):
-            raise ValueError(f"basis must have shape {(n - 1, n)}")
+        basis = tangent_basis(self.basis, base.size)
         if self.sample_radius <= 0.0:
             raise ValueError("sample_radius must be positive")
         if self.residual > NON_MANIFOLD_RESIDUAL_FRACTION * self.sample_radius:
             raise ValueError("residual exceeds the flatness threshold")
-        if not np.allclose(basis @ basis.T, np.eye(n - 1), rtol=0.0, atol=1e-9):
-            raise ValueError("tangent basis rows must be orthonormal")
         object.__setattr__(self, "base_point", base)
-        object.__setattr__(self, "basis", frozen_copy(basis))
-
-
-@dataclass(frozen=True, eq=False)
-class GeometricDerivative:
-    """Derivative functional obtained from an estimated tangent."""
-
-    functional: GradientFunctional
-    tangent: EstimatedTangent
+        object.__setattr__(self, "basis", basis)
 
 
 def estimate_tangent(spec: NormSpec, e0, sample_radius: float,
@@ -112,30 +100,33 @@ def _estimate_tangent(spec: NormSpec, e0: Array, r: float, sample_radius: float,
     return EstimatedTangent(e0, vt[: n - 1], sample_radius, residual)
 
 
-def geometric_gradient(tangent: EstimatedTangent, spec: NormSpec) -> GeometricDerivative:
+def geometric_gradient(tangent: EstimatedTangent, spec: NormSpec) -> GradientFunctional:
     """Derivative functional determined by the tangent hyperplane alone.
 
     The unique functional that vanishes on the tangent basis and sends
     the base point to its norm. Applied to any h = tau + lambda * e0 it
     returns lambda * |e0|: the component of h along the ray, measured in
     norm units. With orthonormal basis rows B it is the closed form
-    |e0| * w / (w . e0), where w = e0 - B^T B e0 is the part of e0 normal
-    to the hyperplane; both sides scale with e0, so the result does not
-    depend on its scale. Raises DecompositionError if the base point
-    (numerically) lies inside the fitted hyperplane, |w| <= 1e-10 |e0|_2.
+    |e0| * nu / (nu . e0), where nu is the unit vector along w = e0 -
+    B^T B e0, the part of e0 normal to the hyperplane; the result does not
+    depend on the scale of e0, and no step squares it. Raises
+    DecompositionError if the base point (numerically) lies inside the
+    fitted hyperplane, |w|_2 <= 1e-10 |e0|_2.
     """
     return _geometric_gradient(tangent, eval_norm(spec, tangent.base_point))
 
 
-def _geometric_gradient(tangent: EstimatedTangent, r: float) -> GeometricDerivative:
+def _geometric_gradient(tangent: EstimatedTangent, r: float) -> GradientFunctional:
     """``geometric_gradient`` with the base point's norm ``r`` given."""
     e0 = tangent.base_point
     basis = tangent.basis
     w = e0 - basis.T @ (basis @ e0)
-    if np.linalg.norm(w) <= 1e-10 * np.linalg.norm(e0):
+    w_len = euclidean_norm(w)
+    if w_len <= 1e-10 * euclidean_norm(e0):
         raise DecompositionError("base point lies in the estimated tangent; "
                                  "the estimation must have failed")
-    return GeometricDerivative(GradientFunctional(r * w / (w @ e0), e0), tangent)
+    normal = w / w_len
+    return GradientFunctional(r * normal / (normal @ e0))
 
 
 @dataclass(eq=False)
@@ -278,7 +269,7 @@ def _geometric_check(spec: NormSpec, e0: Array, r: float, sample_radius: float |
         tangent = _estimate_tangent(spec, e0, r, sample_radius, None, seed)
     except EstimationError as exc:  # NonManifoldSuspected included
         return GeometricCheck(gradient_tol, exc)
-    grad_geom = _geometric_gradient(tangent, r).functional.coeffs
+    grad_geom = _geometric_gradient(tangent, r).coeffs
     grad_fd = _fd_gradient(spec, e0, r).coeffs
     return GeometricCheck(gradient_tol, None, grad_fd, grad_geom,
                           float(np.max(np.abs(grad_geom - grad_fd))))

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
+import math
 from typing import ClassVar, TypeAlias
 
 import numpy as np
 from numpy.typing import NDArray
 
-from ._linalg import extrapolate_to_zero, frozen_copy, positive_finite
+from ._linalg import euclidean_norm, extrapolate_to_zero, frozen_copy, positive_finite
 from .errors import NotDifferentiableError
 
 Vector: TypeAlias = NDArray[np.float64]
@@ -358,17 +359,14 @@ def eval_norm(spec: NormSpec, x) -> float:
 class GradientFunctional:
     """A linear functional representing the norm's derivative at a point.
 
-    The coefficients are degree-0 homogeneous in the base point: the same
-    functional serves every positive multiple of ``base_point``.
+    The coefficients are degree-0 homogeneous in the point: the same
+    functional serves every positive multiple of it.
     """
 
     coeffs: Vector
-    base_point: Vector
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", frozen_copy(as_vector(self.coeffs)))
-        object.__setattr__(self, "base_point",
-                           frozen_copy(as_vector(self.base_point, self.coeffs.size)))
 
     def apply(self, h) -> float:
         return float(self.coeffs @ as_vector(h, self.coeffs.size))
@@ -408,7 +406,7 @@ def analytic_gradient(spec: NormSpec, e0) -> GradientFunctional:
     coeffs, corners = spec._closed_form_rows(E, spec.values(E))
     if corners[0]:
         raise NotDifferentiableError(f"{type(spec).__name__} has a corner at this point")
-    return GradientFunctional(coeffs[0], e0)
+    return GradientFunctional(coeffs[0])
 
 
 def fd_gradient(spec: NormSpec, e0, step: float | None = None) -> GradientFunctional:
@@ -434,7 +432,7 @@ def _fd_gradient(spec: NormSpec, e0: Vector, r: float,
     shifts = step * np.eye(e0.size)
     norms = spec.values(np.concatenate([e0 + shifts, e0 - shifts]))
     upper, lower = np.split(norms, 2)
-    return GradientFunctional((upper - lower) / (2.0 * step), e0)
+    return GradientFunctional((upper - lower) / (2.0 * step))
 
 
 def one_sided_derivative(spec: NormSpec, e0, v,
@@ -453,7 +451,11 @@ def one_sided_derivative(spec: NormSpec, e0, v,
     if not np.any(v):
         raise ValueError("direction must be nonzero")
     if step_sequence is None:
-        scale = float(np.linalg.norm(e0))
+        # |e0|_2 from one dot product (vdot sets no overflow warning); the
+        # scaled form only where the square over- or underflows
+        scale = math.sqrt(np.vdot(e0, e0))
+        if not 1e-150 <= scale <= 1e150:
+            scale = float(euclidean_norm(e0))
         step_sequence = tuple(s * scale for s in DEFAULT_STEP_SEQUENCE)
     steps = [float(t) for t in step_sequence]
     if any(t <= 0.0 for t in steps) or any(a <= b for a, b in zip(steps, steps[1:])):
@@ -510,7 +512,7 @@ def classify_point(spec: NormSpec, e0, *, tol: float = CLASSIFY_TOL,
         try:  # prefer the exact closed form; the fd oracle validated it above
             gradient = analytic_gradient(spec, e0)
         except NotDifferentiableError:
-            gradient = GradientFunctional(grad.coeffs, e0)
+            gradient = grad
         return SmoothnessVerdict(point=frozen_copy(e0), smooth=True,
                                  gradient=gradient, violation=worst_violation)
     return SmoothnessVerdict(point=frozen_copy(e0), smooth=False,

@@ -120,7 +120,7 @@ def chart_inverse_rows_reference(chart, C):
             break
         Ea = E[active]
         norms = chart.spec.values(Ea)
-        tangent_part = (chart.projections.onto_tangent @ Ea[:, :, None])[:, :, 0]
+        tangent_part = ((np.eye(base.size) - chart.frame.onto_ray) @ Ea[:, :, None])[:, :, 0]
         forward = tangent_part + ((norms - chart.base_norm) / chart.base_norm)[:, None] * base
         residuals = forward - C[active]
         res = np.linalg.norm(residuals, axis=1)
@@ -143,6 +143,20 @@ def chart_inverse_rows_reference(chart, C):
             errors[i] = ConvergenceError("newton stalled")
     out[[i for i, err in enumerate(errors) if err is not None]] = np.nan
     return out, errors
+
+
+def chart_forward_rows_reference(chart, E):
+    """The former ``chart_forward_rows``: the tangent projection as a matrix.
+
+    P_T = I - e0 g^T / g(e0) applied to every row, plus the norm defect
+    (|E| - r) / r along e0; no domain check.
+    """
+    E = as_rows(E, chart.frame.dim)
+    e0 = chart.frame.base_point
+    onto_ray = np.outer(e0, chart.frame.gradient.coeffs) / chart.frame.gradient.apply(e0)
+    tangent_part = ((np.eye(e0.size) - onto_ray) @ E[:, :, None])[:, :, 0]
+    defect = chart.spec.values(E) - chart.base_norm
+    return tangent_part + (defect / chart.base_norm)[:, None] * e0
 
 
 def _sole_attainer(vals):
@@ -292,4 +306,16 @@ def tie_point(family, rng, offset):
 
 
 TIE_FAMILIES = ("linf", "l1", "hexagon", "block_max")
+
+#: Scales at which the square of |x|_2 over- or underflows for |x| ~ 1.
+EXTREME_SCALES = (1e-300, 1e-200, 1e-160, 1e155, 1e200, 1e300)
+
+
+def to_unit_size(x):
+    """``x`` times the power of two that brings its largest |entry| into [0.5, 1).
+
+    The product is exact, so it is the same point of the same ray.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.ldexp(x, -np.frexp(np.abs(x).max())[1])
 FAMILIES = ("lp", "quadratic") + TIE_FAMILIES

@@ -8,12 +8,11 @@ from normgeom import (Chart, ChartDomainError, ConvergenceError, DecompositionEr
                       PolyhedralNorm, ProductMaxNorm, QuadraticNorm, TangentFrame,
                       alpha_operator, analytic_gradient, build_chart, chart_forward,
                       chart_inverse, eval_norm, fd_gradient, projection_continuity_probe,
-                      projection_pair, scale_chart, sphere_chart_image_check,
-                      tangent_frame)
+                      scale_chart, sphere_chart_image_check, tangent_frame)
 from normgeom._linalg import orthonormal_complement, sized_directions
-from normgeom.charts import chart_inverse_rows
-from helpers import (FAMILIES, chart_inverse_rows_reference, fd_jacobian, generic_point,
-                     smooth_specs, tie_point)
+from normgeom.charts import chart_forward_rows, chart_inverse_rows
+from helpers import (FAMILIES, chart_forward_rows_reference, chart_inverse_rows_reference,
+                     fd_jacobian, generic_point, smooth_specs, tie_point)
 
 EUCLID2 = QuadraticNorm(np.eye(2))
 
@@ -72,36 +71,54 @@ def test_tangent_frame_rejects_a_tilted_basis_at_every_scale(name, spec, seed, e
     TangentFrame(point, frame.basis, frame.gradient)
 
 
+@pytest.mark.parametrize("name,spec", smooth_specs())
+def test_tangent_frame_requires_orthonormal_rows(name, spec):
+    # full-rank bases of the tangent hyperplane that are not orthonormal:
+    # every row is still annihilated by the gradient
+    point = generic_point(np.random.default_rng(29), spec.dim)
+    frame = tangent_frame(spec, point)
+    bases = [2.0 * frame.basis]
+    if spec.dim > 2:
+        sheared = frame.basis.copy()
+        sheared[1] += sheared[0]
+        bases.append(sheared)
+    for basis in bases:
+        assert np.linalg.matrix_rank(basis) == spec.dim - 1
+        with pytest.raises(ValueError, match="orthonormal"):
+            TangentFrame(point, basis, frame.gradient)
+
+
 # -------------------------------------------------------------- projections
 
 def test_projection_axis_closed_form():
-    pair = projection_pair(tangent_frame(EUCLID2, [1.0, 0.0]))
-    assert pair.onto_ray == pytest.approx(np.array([[1.0, 0.0], [0.0, 0.0]]), abs=1e-12)
+    onto_ray = tangent_frame(EUCLID2, [1.0, 0.0]).onto_ray
+    assert onto_ray == pytest.approx(np.array([[1.0, 0.0], [0.0, 0.0]]), abs=1e-12)
     h = np.array([0.3, -2.0])
-    assert pair.onto_ray @ h == pytest.approx([0.3, 0.0], abs=1e-12)
+    assert onto_ray @ h == pytest.approx([0.3, 0.0], abs=1e-12)
 
 
 @pytest.mark.parametrize("name,spec", smooth_specs())
 def test_projection_pair_algebra(name, spec):
+    # the frame's ray projection and its complement, the tangent projection
     rng = np.random.default_rng(31)
     frame = tangent_frame(spec, generic_point(rng, spec.dim))
-    pair = projection_pair(frame)
+    onto_ray = frame.onto_ray
     n = spec.dim
-    identity = np.eye(n)
+    onto_tangent = np.eye(n) - onto_ray
 
-    assert pair.onto_ray + pair.onto_tangent == pytest.approx(identity, abs=1e-12)
-    assert pair.onto_ray @ pair.onto_ray == pytest.approx(pair.onto_ray, abs=1e-12)
-    assert pair.onto_tangent @ pair.onto_tangent == pytest.approx(pair.onto_tangent, abs=1e-12)
+    assert onto_ray @ onto_ray == pytest.approx(onto_ray, abs=1e-12)
+    assert onto_tangent @ onto_tangent == pytest.approx(onto_tangent, abs=1e-12)
+    assert onto_ray @ onto_tangent == pytest.approx(np.zeros((n, n)), abs=1e-12)
 
     e0 = frame.base_point
-    assert pair.onto_ray @ e0 == pytest.approx(e0, abs=1e-12 * np.linalg.norm(e0))
-    assert pair.onto_tangent @ e0 == pytest.approx(np.zeros(n), abs=1e-12 * np.linalg.norm(e0))
+    assert onto_ray @ e0 == pytest.approx(e0, abs=1e-12 * np.linalg.norm(e0))
+    assert onto_tangent @ e0 == pytest.approx(np.zeros(n), abs=1e-12 * np.linalg.norm(e0))
     for row in frame.basis:
-        assert pair.onto_ray @ row == pytest.approx(np.zeros(n), abs=1e-9)
+        assert onto_ray @ row == pytest.approx(np.zeros(n), abs=1e-9)
     # ranges: ray images are multiples of e0, tangent images killed by g
     h = rng.standard_normal(n)
-    assert _parallel(pair.onto_ray @ h, e0, tol=1e-9)
-    assert abs(frame.gradient.apply(pair.onto_tangent @ h)) <= 1e-9 * np.linalg.norm(h)
+    assert _parallel(onto_ray @ h, e0, tol=1e-9)
+    assert abs(frame.gradient.apply(onto_tangent @ h)) <= 1e-9 * np.linalg.norm(h)
 
 
 # ------------------------------------------------------------------- charts
@@ -138,10 +155,25 @@ def test_right_inverse_identities(name, spec):
     g = chart.frame.gradient
     for r in (-1.0, 0.37, 1.0):
         assert g.apply(chart.t_plus(r)) == pytest.approx(r, abs=1e-12)
-    pair = chart.projections
     for _ in range(5):
         h = rng.standard_normal(spec.dim)
-        assert chart.t_plus(g.apply(h)) == pytest.approx(pair.onto_ray @ h, abs=1e-12)
+        assert chart.t_plus(g.apply(h)) == pytest.approx(chart.frame.onto_ray @ h, abs=1e-12)
+
+
+@pytest.mark.parametrize("name,spec", smooth_specs())
+@given(seed=st.integers(0, 2**32 - 1), decade=st.floats(-8.0, 8.0))
+@settings(max_examples=15, deadline=None)
+def test_rank_one_forward_map_matches_the_projection_matrix(name, spec, seed, decade):
+    # phi(E) = E - (g(E)/g(e0) - (|E| - r)/r) e0 against P_T E + ((|E| - r)/r) e0
+    # with the matrix P_T = I - e0 g^T / g(e0)
+    rng = np.random.default_rng(seed)
+    x = 10.0 ** decade * generic_point(rng, spec.dim)
+    chart = build_chart(spec, x)
+    D = rng.standard_normal((16, spec.dim))
+    E = x + D * (chart.domain_radius * rng.uniform(0.0, 1.0, 16) / spec.values(D))[:, None]
+    got = chart_forward_rows(chart, E)
+    want = chart_forward_rows_reference(chart, E)
+    assert np.abs(got - want).max() <= 1e-14 * np.linalg.norm(x)
 
 
 @pytest.mark.parametrize("name,spec", smooth_specs())
@@ -275,7 +307,7 @@ def test_scalar_newton_fails_zero_slope_rows_as_the_vector_residual(name, spec, 
     r = eval_norm(spec, x)
     g = analytic_gradient(spec, x)
     frame = TangentFrame(x, orthonormal_complement(g.coeffs), g)
-    chart = Chart(spec, frame, projection_pair(frame), 10.0 * r, r)
+    chart = Chart(spec, frame, 10.0 * r, r)
     T = rng.standard_normal((4, spec.dim))
     T[:, axis] = 0.0
     T *= (r * rng.uniform(0.1, 2.0, 4) / spec.values(T))[:, None]
@@ -527,7 +559,7 @@ def test_chart_radii_must_be_finite_and_positive(radius):
     with pytest.raises(ValueError, match="finite and positive"):
         scale_chart(chart, radius)
     with pytest.raises(ValueError, match="base_norm must be finite and positive"):
-        Chart(spec, chart.frame, chart.projections, chart.domain_radius, radius)
+        Chart(spec, chart.frame, chart.domain_radius, radius)
 
 
 # ------------------------------------------------------------ alpha operator

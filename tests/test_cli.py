@@ -13,7 +13,7 @@ from normgeom import (AnalysisRequest, QuadraticNorm, emit_plot_data,
                       run_request, spec_from_dict)
 from normgeom import cli
 from normgeom.cli import run_cli, validate_report
-from helpers import sphere_sample_reference
+from helpers import EXTREME_SCALES, generic_point, smooth_specs, sphere_sample_reference
 
 
 @pytest.fixture
@@ -164,6 +164,22 @@ def test_sphere_sample_needs_a_positive_count(square_spec, capsys, count):
 def test_chart_needs_a_positive_sample_count(circle_spec, capsys, samples):
     assert run_cli(["chart", circle_spec, "--point", "0.6,0.8", "--samples", samples]) == 2
     assert "samples must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["chart", "roundtrip", "grad"])
+def test_commands_pass_at_extreme_scales(tmp_path, capsys, command):
+    # |x|_2 squared over- or underflows at these scales; every check must
+    # still pass, as it does at unit size
+    for name, spec in smooth_specs():
+        spec_file = tmp_path / f"{name}.json"
+        spec_file.write_text(json.dumps(spec.to_dict()))
+        x = generic_point(np.random.default_rng(5), spec.dim)
+        points_file = tmp_path / f"{name}-points.json"
+        points_file.write_text(json.dumps([(t * x).tolist() for t in EXTREME_SCALES]))
+        code = run_cli([command, str(spec_file), "--points-file", str(points_file)])
+        captured = capsys.readouterr()
+        assert code == 0, (name, captured.out, captured.err)
+        assert "nan" not in captured.out
 
 
 def test_sphere_sample_circle_shape(circle_spec, tmp_path):

@@ -10,10 +10,11 @@ from normgeom import (DecompositionError, EstimatedTangent, L1Norm, LInfNorm,
                       analytic_gradient, classify_point,
                       directional_expansion_check, equivalence_roundtrip,
                       estimate_tangent, eval_norm, fd_gradient,
-                      geometric_gradient, projection_pair, tangent_frame)
+                      geometric_gradient, tangent_frame)
 from normgeom import charts, geometric
-from helpers import (FAMILIES, central_diff_gradient, expansion_reference, generic_point,
-                     geometric_gradient_coeffs_reference, smooth_specs, tie_point)
+from helpers import (EXTREME_SCALES, FAMILIES, central_diff_gradient, expansion_reference,
+                     generic_point, geometric_gradient_coeffs_reference, smooth_specs,
+                     tie_point)
 
 EUCLID2 = QuadraticNorm(np.eye(2))
 
@@ -71,9 +72,9 @@ def test_geometric_gradient_from_exact_tangent():
     tangent = EstimatedTangent(np.array([0.6, 0.8]), np.array([[-0.8, 0.6]]),
                                sample_radius=1e-3, residual=0.0)
     geo = geometric_gradient(tangent, EUCLID2)
-    assert geo.functional.coeffs == pytest.approx([0.6, 0.8], abs=1e-12)
+    assert geo.coeffs == pytest.approx([0.6, 0.8], abs=1e-12)
     h = np.array([0.3, -1.1])
-    assert geo.functional.apply(h) == pytest.approx(0.6 * h[0] + 0.8 * h[1], abs=1e-12)
+    assert geo.apply(h) == pytest.approx(0.6 * h[0] + 0.8 * h[1], abs=1e-12)
 
 
 @pytest.mark.parametrize("name,spec", smooth_specs())
@@ -84,7 +85,7 @@ def test_geometric_gradient_reproduces_norm_on_base(name, spec):
     tangent = estimate_tangent(spec, e0, 1e-3, seed=3)
     geo = geometric_gradient(tangent, spec)
     # construction constraint: the functional recovers the norm at the base
-    assert geo.functional.apply(e0) == pytest.approx(eval_norm(spec, e0), rel=1e-9)
+    assert geo.apply(e0) == pytest.approx(eval_norm(spec, e0), rel=1e-9)
 
 
 def test_geometric_gradient_quadratic_form_r3():
@@ -103,7 +104,7 @@ def test_geometric_gradient_quadratic_form_r3():
     assert oracle == pytest.approx(closed, abs=1e-8)
 
     geo = geometric_gradient(estimate_tangent(spec, e0, 1e-3, seed=11), spec)
-    assert geo.functional.coeffs == pytest.approx(closed, abs=1e-2)
+    assert geo.coeffs == pytest.approx(closed, abs=1e-2)
 
 
 def test_geometric_gradient_rejects_degenerate_tangent():
@@ -120,7 +121,7 @@ def test_geometric_gradient_rejects_degenerate_tangent():
 def test_closed_form_geometric_gradient_matches_the_solve(name, spec, seed, decade):
     x = 10.0 ** decade * generic_point(np.random.default_rng(seed), spec.dim)
     tangent = estimate_tangent(spec, x, 1e-3 * eval_norm(spec, x), seed=seed % 1000)
-    got = geometric_gradient(tangent, spec).functional.coeffs
+    got = geometric_gradient(tangent, spec).coeffs
     want = geometric_gradient_coeffs_reference(tangent, spec)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -158,7 +159,7 @@ def test_two_gradient_routes_agree(name, spec, radius):
         e0 /= eval_norm(spec, e0)
         geo = geometric_gradient(estimate_tangent(spec, e0, radius, seed=5), spec)
         fd = fd_gradient(spec, e0)
-        worst = max(worst, float(np.max(np.abs(geo.functional.coeffs - fd.coeffs))))
+        worst = max(worst, float(np.max(np.abs(geo.coeffs - fd.coeffs))))
     assert worst <= 10.0 * radius
 
 
@@ -174,7 +175,7 @@ def test_route_agreement_improves_with_radius():
             geo = geometric_gradient(estimate_tangent(spec, unit, radius, seed=9),
                                      spec)
             fd = fd_gradient(spec, unit)
-            worst = max(worst, float(np.max(np.abs(geo.functional.coeffs - fd.coeffs))))
+            worst = max(worst, float(np.max(np.abs(geo.coeffs - fd.coeffs))))
         errors[radius] = worst
     assert errors[1e-3] < errors[1e-2]
 
@@ -188,20 +189,20 @@ def test_ray_invariance_of_geometric_gradient():
     g2 = geometric_gradient(estimate_tangent(spec, 2.0 * e0,
                                              1e-3 * eval_norm(spec, 2.0 * e0),
                                              seed=7), spec)
-    assert g2.functional.coeffs == pytest.approx(g1.functional.coeffs, abs=5e-3)
+    assert g2.coeffs == pytest.approx(g1.coeffs, abs=5e-3)
 
 
 def test_functional_bounded_by_ray_projection_norm():
     rng = np.random.default_rng(47)
     e0 = np.array([0.6, 0.8])
-    pair = projection_pair(tangent_frame(EUCLID2, e0))
-    bound = np.linalg.norm(pair.onto_ray, 2)
+    onto_ray = tangent_frame(EUCLID2, e0).onto_ray
+    bound = np.linalg.norm(onto_ray, 2)
     geo = geometric_gradient(estimate_tangent(EUCLID2, e0, 1e-3), EUCLID2)
     for _ in range(25):
         h = rng.standard_normal(2)
         # |f(h)| = |ray projection of h| <= |P| |h| (euclidean geometry)
-        assert abs(geo.functional.apply(h)) <= bound * np.linalg.norm(h) * (1.0 + 1e-3)
-        assert np.linalg.norm(pair.onto_ray @ h) <= bound * np.linalg.norm(h) * (1.0 + 1e-9)
+        assert abs(geo.apply(h)) <= bound * np.linalg.norm(h) * (1.0 + 1e-3)
+        assert np.linalg.norm(onto_ray @ h) <= bound * np.linalg.norm(h) * (1.0 + 1e-9)
 
 
 # ----------------------------------------------------------- expansion check
@@ -310,6 +311,20 @@ def test_roundtrip_verdict_is_scale_free(family, seed, corner, offset, decade):
     scaled = equivalence_roundtrip(spec, 10.0 ** decade * x)
     assert (scaled.smooth, scaled.verdict) == (report.smooth, report.verdict)
     assert report.verdict == "consistent"
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("corner", [False, True])
+def test_roundtrip_verdict_at_extreme_scales(family, corner):
+    # |t x|_2 squared over- or underflows at these scales; the smooth
+    # families ignore ``corner`` and give a generic point
+    spec, x = tie_point(family, np.random.default_rng(17), 0.0 if corner else 0.2)
+    report = equivalence_roundtrip(spec, x)
+    assert report.verdict == "consistent"
+    for t in EXTREME_SCALES:
+        scaled = equivalence_roundtrip(spec, t * x)
+        assert (scaled.smooth, scaled.manifold_flat, scaled.verdict) == \
+            (report.smooth, report.manifold_flat, report.verdict), t
 
 
 def test_roundtrip_report_schema_keys():
