@@ -88,16 +88,25 @@ def oblique_projection(onto_rows: Array, along_rows: Array) -> Array:
     return onto.T @ inv[:k]
 
 
-def sized_directions(rng: np.random.Generator, samples: int, dim: int,
-                     low: float) -> tuple[Array, Array]:
-    """Seeded directions in R^dim as rows, each with a size drawn from [low, 1).
+def sample_design(dim: int, rows: int, low: float) -> tuple[Array, Array]:
+    """At least ``rows`` fixed directions in R^dim as rows, and their sizes.
 
-    One standard-normal draw of all directions, then one uniform draw of
-    the sizes of those that are nonzero; zero directions are dropped.
+    A class is ±e_i, or ±(e_i ± e_j)/√2 with j = i + 1 (mod dim when dim >
+    2); classes are taken in turn until ``rows`` is reached, and class k of
+    the K taken has size low + (1 - low)(k + 1/2)/K in [low, 1). No class
+    is split, so the design is closed under coordinate sign flips.
     """
-    directions = rng.standard_normal((samples, dim))
-    directions = directions[np.any(directions, axis=1)]
-    return directions, rng.uniform(low, 1.0, len(directions))
+    eye = np.eye(dim)
+    halves = [eye[[i]] for i in range(dim)] + [
+        (eye[i] + [[1.0], [-1.0]] * eye[(i + 1) % dim]) / math.sqrt(2.0)
+        for i in range(dim if dim > 2 else dim - 1)]
+    taken = []
+    while 2 * sum(map(len, taken)) < rows:
+        taken.append(halves[len(taken) % len(halves)])
+    half = np.vstack(taken)
+    sizes = np.repeat(low + (1.0 - low) * (np.arange(len(taken)) + 0.5) / len(taken),
+                      [len(h) for h in taken])
+    return np.vstack([half, -half]), np.tile(sizes, 2)
 
 
 def extrapolate_to_zero(steps, values) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import (Array, euclidean_norm, frozen_copy, positive_finite,
-                      sized_directions, tangent_basis)
+                      sample_design, tangent_basis)
 from .errors import (DecompositionError, EstimationError, NonManifoldSuspected,
                      NotDifferentiableError)
 from .charts import _build_chart, sphere_chart_image_check
@@ -53,23 +53,22 @@ class EstimatedTangent:
         object.__setattr__(self, "basis", basis)
 
 
-def estimate_tangent(spec: NormSpec, e0, sample_radius: float,
-                     samples: int | None = None, *, seed: int = 0) -> EstimatedTangent:
+def estimate_tangent(spec: NormSpec, e0, sample_radius: float) -> EstimatedTangent:
     """Fit the sphere's tangent hyperplane at ``e0`` from nearby samples.
 
-    Samples are random perturbations of ``e0`` scaled back onto the
-    sphere through ``e0``; the hyperplane through ``e0`` is the span of
-    the leading singular directions of the centered differences. Raises
-    NonManifoldSuspected when the residual is too large a fraction of the
-    radius (corner or edge detected geometrically) and EstimationError
-    when the samples are degenerate.
+    Samples are the 6n fixed ``sample_design`` perturbations of ``e0``
+    scaled back onto the sphere through ``e0``; the hyperplane through
+    ``e0`` is the span of the leading singular directions of the centered
+    differences. Raises NonManifoldSuspected when the residual is too
+    large a fraction of the radius (corner or edge detected geometrically)
+    and EstimationError when the samples are degenerate.
     """
     e0 = as_vector(e0, spec.dim)
-    return _estimate_tangent(spec, e0, eval_norm(spec, e0), sample_radius, samples, seed)
+    return _estimate_tangent(spec, e0, eval_norm(spec, e0), sample_radius)
 
 
-def _estimate_tangent(spec: NormSpec, e0: Array, r: float, sample_radius: float,
-                      samples: int | None, seed: int) -> EstimatedTangent:
+def _estimate_tangent(spec: NormSpec, e0: Array, r: float,
+                      sample_radius: float) -> EstimatedTangent:
     """``estimate_tangent`` at a checked ``e0`` whose norm is ``r``."""
     n = spec.dim
     if n < 2:
@@ -79,14 +78,9 @@ def _estimate_tangent(spec: NormSpec, e0: Array, r: float, sample_radius: float,
     sample_radius = float(sample_radius)
     if not (0.0 < sample_radius <= 0.05 * r):
         raise ValueError(f"sample_radius must lie in (0, {0.05 * r:.3e}]")
-    if samples is None:
-        # enough samples that a corner cannot hide on one facet by chance
-        samples = max(4 * n, 16)
-    if samples < 4 * n:
-        raise ValueError(f"need at least {4 * n} samples")
 
     # sizes in the upper half of the radius keep per-sample evidence strong
-    D, sizes = sized_directions(np.random.default_rng(seed), samples, n, 0.5)
+    D, sizes = sample_design(n, 6 * n, 0.5)
     X = e0 + D * (sample_radius * sizes / spec.values(D))[:, None]
     diffs = X * (r / spec.values(X))[:, None] - e0
 
@@ -242,7 +236,7 @@ class GeometricCheck:
 
 
 def geometric_check(spec: NormSpec, e0, *, sample_radius: float | None = None,
-                    gradient_tol: float | None = None, seed: int = 0) -> GeometricCheck:
+                    gradient_tol: float | None = None) -> GeometricCheck:
     """Estimate the tangent at ``e0``, rebuild the derivative, compare with fd.
 
     Defaults: ``sample_radius`` = 1e-3 * |e0|, ``gradient_tol`` =
@@ -250,12 +244,11 @@ def geometric_check(spec: NormSpec, e0, *, sample_radius: float | None = None,
     positive. Without a tangent, fd is not computed.
     """
     e0 = as_vector(e0, spec.dim)
-    return _geometric_check(spec, e0, eval_norm(spec, e0), sample_radius, gradient_tol,
-                            seed)
+    return _geometric_check(spec, e0, eval_norm(spec, e0), sample_radius, gradient_tol)
 
 
 def _geometric_check(spec: NormSpec, e0: Array, r: float, sample_radius: float | None,
-                     gradient_tol: float | None, seed: int) -> GeometricCheck:
+                     gradient_tol: float | None) -> GeometricCheck:
     """``geometric_check`` at a checked ``e0`` whose norm is ``r``."""
     if r == 0.0:
         raise ValueError("base point must be nonzero")
@@ -266,7 +259,7 @@ def _geometric_check(spec: NormSpec, e0: Array, r: float, sample_radius: float |
     else:
         gradient_tol = positive_finite(gradient_tol, "gradient_tol")
     try:
-        tangent = _estimate_tangent(spec, e0, r, sample_radius, None, seed)
+        tangent = _estimate_tangent(spec, e0, r, sample_radius)
     except EstimationError as exc:  # NonManifoldSuspected included
         return GeometricCheck(gradient_tol, exc)
     grad_geom = _geometric_gradient(tangent, r).coeffs
@@ -286,17 +279,18 @@ def equivalence_roundtrip(spec: NormSpec, e0, *, sample_radius: float | None = N
     either passes both routes or fails both (corner detected analytically
     and geometrically); anything else is reported as a violation, which a
     correct implementation should never produce. The norm of ``e0`` is
-    evaluated once and passed to both routes.
+    evaluated once and passed to both routes. ``seed`` seeds only the
+    classifier's random directions.
     """
     e0 = as_vector(e0, spec.dim)
     r = eval_norm(spec, e0)
-    geo = _geometric_check(spec, e0, r, sample_radius, gradient_tol, seed)
+    geo = _geometric_check(spec, e0, r, sample_radius, gradient_tol)
     smooth = True
     chart_residual = None
     chart_ok = False
     try:
         chart = _build_chart(spec, e0, r, None, seed)
-        image = sphere_chart_image_check(spec, chart, samples=32, seed=seed)
+        image = sphere_chart_image_check(spec, chart, samples=32)
         chart_residual = max(image.max_ray_component, image.max_norm_defect)
         chart_ok = image.passed
     except NotDifferentiableError:  # the chart's classifier found a corner

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from normgeom import (Chart, ChartDomainError, ConvergenceError, DecompositionEr
                       alpha_operator, analytic_gradient, build_chart, chart_forward,
                       chart_inverse, eval_norm, fd_gradient, projection_continuity_probe,
                       scale_chart, sphere_chart_image_check, tangent_frame)
-from normgeom._linalg import orthonormal_complement, sized_directions
+from normgeom._linalg import orthonormal_complement, sample_design
 from normgeom.charts import chart_forward_rows, chart_inverse_rows
 from helpers import (FAMILIES, chart_forward_rows_reference, chart_inverse_rows_reference,
                      fd_jacobian, generic_point, smooth_specs, tie_point)
@@ -371,7 +373,7 @@ def test_default_chart_inverts_at_every_scale(name, spec, seed, exponent):
     E, errors = chart_inverse_rows(chart, C)
     assert errors == [None] * len(C)
     assert spec.values(E) == pytest.approx(chart.base_norm, rel=1e-10, abs=0.0)
-    assert sphere_chart_image_check(spec, chart, samples=16, seed=seed).passed
+    assert sphere_chart_image_check(spec, chart, samples=16).passed
 
 
 @pytest.mark.parametrize("spec,point", [(LpNorm(4.0, 3), [0.3, -0.5, 0.8]),
@@ -447,42 +449,35 @@ def test_sphere_image_check_reports_failures_without_raising():
     assert "point" in report.failures[0]
 
 
-class _ZeroRowGenerator:
-    """A generator whose normal draw holds an all-zero row."""
-
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
-
-    def standard_normal(self, shape):
-        draw = self.rng.standard_normal(shape)
-        draw[1] = 0.0
-        return draw
-
-    def uniform(self, low, high, size):
-        return self.rng.uniform(low, high, size)
-
-
-def test_sized_directions_is_one_seeded_draw():
-    D, U = sized_directions(np.random.default_rng(3), 8, 2, 0.05)
-    again = sized_directions(np.random.default_rng(3), 8, 2, 0.05)
-    assert np.array_equal(D, again[0]) and np.array_equal(U, again[1])
-    other = sized_directions(np.random.default_rng(4), 8, 2, 0.05)
-    assert not np.array_equal(D, other[0]) and not np.array_equal(U, other[1])
-    assert np.all((0.05 <= U) & (U < 1.0))
-    rng = np.random.default_rng(3)
-    assert np.array_equal(D, rng.standard_normal((8, 2)))
-    assert np.array_equal(U, rng.uniform(0.05, 1.0, 8))
-    # a zero direction is dropped before the sizes are drawn
-    D, U = sized_directions(_ZeroRowGenerator(5), 6, 3, 0.5)
-    rng = np.random.default_rng(5)
-    assert np.array_equal(D, np.delete(rng.standard_normal((6, 3)), 1, axis=0))
-    assert np.array_equal(U, rng.uniform(0.5, 1.0, 5))
+def test_sample_design_is_whole_sign_closed_classes():
+    for dim, rows in [(1, 5), (2, 12), (3, 18), (4, 7), (5, 30)]:
+        D, U = sample_design(dim, rows, 0.05)
+        again = sample_design(dim, rows, 0.05)
+        assert np.array_equal(D, again[0]) and np.array_equal(U, again[1])
+        assert D.shape == (len(U), dim) and rows <= len(U) < rows + 4
+        assert np.all((0.05 <= U) & (U < 1.0))
+        assert np.allclose(np.linalg.norm(D, axis=1), 1.0, rtol=0.0, atol=1e-15)
+        # each size holds one whole class: ±e_i, or (±e_i ± e_j)/√2 with
+        # j = i + 1, wrapping to (dim - 1, 0) when dim > 2
+        classes = [[i] for i in range(dim)]
+        classes += [sorted([i, (i + 1) % dim]) for i in range(dim if dim > 2 else dim - 1)]
+        for size in np.unique(U):
+            block = D[U == size]
+            support = np.flatnonzero(np.any(block, axis=0))
+            assert support.tolist() in classes
+            signs = [tuple(row) for row in np.sign(block[:, support])]
+            assert sorted(signs) == sorted(itertools.product((1.0, -1.0), repeat=len(support)))
+        # so every coordinate sign flip maps the sized design onto itself
+        design = {(*d, u) for d, u in zip(D, U)}
+        for flip in itertools.product((1.0, -1.0), repeat=dim):
+            assert {(*(np.array(flip) * d), u) for d, u in zip(D, U)} == design
+    assert len(sample_design(3, 18, 0.5)[1]) == 18  # the tangent fit's 6n rows
     # a negative tolerance fails every forward sample of the image check, so
-    # its report lists the sphere points built from that one draw
+    # its report lists the sphere points built from the design
     spec = LpNorm(4.0, 2)
     chart = build_chart(spec, [0.6, 0.8])
-    report = sphere_chart_image_check(spec, chart, samples=8, seed=3, ray_tol=-1.0)
-    D, U = sized_directions(np.random.default_rng(3), 8, 2, 0.05)
+    report = sphere_chart_image_check(spec, chart, samples=8, ray_tol=-1.0)
+    D, U = sample_design(2, 8, 0.05)
     E = chart.frame.base_point + D * (0.4 * chart.domain_radius * U / spec.values(D))[:, None]
     expected = E * (chart.base_norm / spec.values(E))[:, None]
     got = [f["point"] for f in report.failures if f["kind"] == "ray_component"]
