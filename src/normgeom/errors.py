@@ -37,9 +37,9 @@ class NonManifoldSuspected(EstimationError):
         )
 
 
-class ChartDomainError(ValueError):
+class ChartDomainError(GeometryError):
     """A point lies outside the chart's domain of validity."""
 
 
-class DecompositionError(ValueError):
+class DecompositionError(GeometryError):
     """Subspaces passed as complements do not actually split the space."""

@@ -11,6 +11,7 @@ side succeeds while the other fails.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,12 +46,15 @@ class EstimatedTangent:
     def __post_init__(self):
         base = frozen_copy(as_vector(self.base_point))
         basis = tangent_basis(self.basis, base.size)
-        if self.sample_radius <= 0.0:
-            raise ValueError("sample_radius must be positive")
-        if self.residual > NON_MANIFOLD_RESIDUAL_FRACTION * self.sample_radius:
+        radius = positive_finite(self.sample_radius, "sample_radius")
+        if not (0.0 <= self.residual < math.inf):
+            raise ValueError(f"residual must be finite and >= 0, got {self.residual!r}")
+        if self.residual > NON_MANIFOLD_RESIDUAL_FRACTION * radius:
             raise ValueError("residual exceeds the flatness threshold")
         object.__setattr__(self, "base_point", base)
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "sample_radius", radius)
+        object.__setattr__(self, "residual", float(self.residual))
 
 
 def estimate_tangent(spec: NormSpec, e0, sample_radius: float) -> EstimatedTangent:

@@ -11,7 +11,7 @@ import pytest
 import normgeom
 from normgeom import (AnalysisRequest, QuadraticNorm, emit_plot_data,
                       run_request, spec_from_dict)
-from normgeom import cli
+from normgeom import cli, errors
 from normgeom.cli import run_cli, validate_report
 from helpers import EXTREME_SCALES, generic_point, smooth_specs, sphere_sample_reference
 
@@ -364,6 +364,36 @@ def test_tolerance_that_is_not_finite_and_positive_exits_two(lp4_spec, capsys, c
     assert code == 2
     assert captured.out == ""
     assert f"error: {key} must be finite and positive" in captured.err
+
+
+def test_chart_results_do_not_depend_on_the_seed(lp4_spec, tmp_path):
+    # the image check and the normal-form samples come from the fixed design
+    results = []
+    for seed in ("0", "7"):
+        out = tmp_path / f"chart-{seed}.json"
+        assert run_cli(["chart", lp4_spec, "--point", "0.3,-0.5,0.8", "--point", "1,2,-0.5",
+                        "--seed", seed, "--out", str(out)]) == 0
+        results.append(json.loads(out.read_text())["results"])
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("error,code", [
+    (errors.ChartDomainError("outside the domain radius"), 1),
+    (errors.DecompositionError("base point lies in the estimated tangent"), 1),
+    (errors.ConvergenceError("newton stalled"), 1),
+    (errors.EstimationError("samples are degenerate"), 1),
+    (errors.NonManifoldSuspected([1.0, 1.0], 1e-3, 1e-3), 1),
+    (errors.NotDifferentiableError("corner"), 1),
+    (ValueError("malformed"), 2),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+def test_each_error_class_maps_to_its_exit_code(lp4_spec, monkeypatch, capsys, error, code):
+    # every GeometryError is a check failure; only a plain ValueError is bad input
+    def fail(request):
+        raise error
+
+    monkeypatch.setattr(cli, "run_request", fail)
+    assert run_cli(["roundtrip", lp4_spec, "--point", "0.3,-0.5,0.8"]) == code
+    assert str(error) in capsys.readouterr().err
 
 
 def test_request_rejects_a_tolerance_that_is_not_finite_and_positive():

@@ -1,3 +1,4 @@
+import itertools
 import types
 
 import numpy as np
@@ -14,7 +15,7 @@ from normgeom import (DecompositionError, EstimatedTangent, L1Norm, LInfNorm,
 from normgeom import charts, geometric
 from helpers import (EXTREME_SCALES, FAMILIES, central_diff_gradient, expansion_reference,
                      generic_point, geometric_gradient_coeffs_reference, smooth_specs,
-                     tie_point)
+                     spd_matrix, tie_point)
 
 EUCLID2 = QuadraticNorm(np.eye(2))
 
@@ -49,6 +50,38 @@ def test_estimate_validation():
         estimate_tangent(EUCLID2, [1.0, 0.0], 0.5)  # radius > 5% of the norm
     with pytest.raises(ValueError):
         estimate_tangent(QuadraticNorm([[1.0]]), [1.0], 1e-3)
+
+
+@pytest.mark.parametrize("field,value", [("sample_radius", np.nan), ("sample_radius", np.inf),
+                                         ("sample_radius", 0.0), ("residual", np.nan),
+                                         ("residual", np.inf), ("residual", -1e-6)])
+def test_estimated_tangent_requires_a_finite_radius_and_residual(field, value):
+    # a NaN passes every "exceeds the threshold" comparison, so it must be refused
+    fields = {"sample_radius": 1e-3, "residual": 5e-5, field: value}
+    with pytest.raises(ValueError, match=field):
+        EstimatedTangent(np.array([1.0, 0.0]), np.array([[0.0, 1.0]]), **fields)
+
+
+def _tangent_outcome(spec, x):
+    """Whether ``estimate_tangent`` finds ``x`` flat, and the fit's residual."""
+    try:
+        return True, estimate_tangent(spec, x, 1e-3 * eval_norm(spec, x)).residual
+    except NonManifoldSuspected as exc:
+        return False, exc.residual
+
+
+@pytest.mark.parametrize("family", ["lp", "l1", "linf"])
+@given(seed=st.integers(0, 2**32 - 1),
+       offset=st.sampled_from([0.0, 1e-6, 1e-3]) | st.floats(0.01, 0.3))
+@settings(max_examples=20, deadline=None)
+def test_tangent_fit_is_invariant_under_sign_flips(family, seed, offset):
+    # the fixed design is closed under coordinate sign flips, and so are these norms
+    spec, x = tie_point(family, np.random.default_rng(seed), offset)
+    flat, residual = _tangent_outcome(spec, x)
+    for flip in itertools.product((1.0, -1.0), repeat=spec.dim):
+        flipped_flat, flipped_residual = _tangent_outcome(spec, np.array(flip) * x)
+        assert flipped_flat == flat
+        assert abs(flipped_residual - residual) <= 1e-10 * 1e-3 * eval_norm(spec, x)
 
 
 def test_estimated_tangent_enforces_flatness_invariant():
@@ -320,6 +353,18 @@ def test_roundtrip_verdict_at_extreme_scales(family, corner):
         scaled = equivalence_roundtrip(spec, t * x)
         assert (scaled.smooth, scaled.manifold_flat, scaled.verdict) == \
             (report.smooth, report.manifold_flat, report.verdict), t
+
+
+@pytest.mark.parametrize("spec", [LpNorm(4.0, 3), QuadraticNorm(spd_matrix(np.random.default_rng(3), 3))],
+                         ids=["lp4", "spd"])
+def test_roundtrip_report_does_not_depend_on_the_seed(spec):
+    # the seed reaches only the classifier, whose verdict and gradient are
+    # the same at generic points
+    rng = np.random.default_rng(29)
+    for _ in range(5):
+        x = generic_point(rng, spec.dim)
+        assert equivalence_roundtrip(spec, x, seed=0).to_dict() == \
+            equivalence_roundtrip(spec, x, seed=7).to_dict()
 
 
 def test_roundtrip_report_schema_keys():
