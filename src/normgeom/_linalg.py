@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -88,13 +89,15 @@ def oblique_projection(onto_rows: Array, along_rows: Array) -> Array:
     return onto.T @ inv[:k]
 
 
+@functools.cache
 def sample_design(dim: int, rows: int, low: float) -> tuple[Array, Array]:
     """At least ``rows`` fixed directions in R^dim as rows, and their sizes.
 
     A class is ±e_i, or ±(e_i ± e_j)/√2 with j = i + 1 (mod dim when dim >
     2); classes are taken in turn until ``rows`` is reached, and class k of
     the K taken has size low + (1 - low)(k + 1/2)/K in [low, 1). No class
-    is split, so the design is closed under coordinate sign flips.
+    is split, so the design is closed under coordinate sign flips. Built
+    once per argument tuple; both arrays are read-only.
     """
     eye = np.eye(dim)
     halves = [eye[[i]] for i in range(dim)] + [
@@ -106,7 +109,7 @@ def sample_design(dim: int, rows: int, low: float) -> tuple[Array, Array]:
     half = np.vstack(taken)
     sizes = np.repeat(low + (1.0 - low) * (np.arange(len(taken)) + 0.5) / len(taken),
                       [len(h) for h in taken])
-    return np.vstack([half, -half]), np.tile(sizes, 2)
+    return frozen_copy(np.vstack([half, -half])), frozen_copy(np.tile(sizes, 2))
 
 
 def extrapolate_to_zero(steps, values) -> float:

@@ -11,7 +11,6 @@ side succeeds while the other fails.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +32,9 @@ class EstimatedTangent:
     """Tangent hyperplane of a sphere fitted from samples, with residual.
 
     ``residual`` is the largest distance of a fitting sample from the
-    fitted hyperplane; the constructor enforces that it stays below the
-    non-manifold threshold, so holding an instance is itself a flatness
-    certificate at the given radius.
+    fitted hyperplane; the constructor enforces that it is finite, >= 0
+    and below the non-manifold threshold of a finite positive radius, so
+    holding an instance is itself a flatness certificate at that radius.
     """
 
     base_point: Array
@@ -47,14 +46,13 @@ class EstimatedTangent:
         base = frozen_copy(as_vector(self.base_point))
         basis = tangent_basis(self.basis, base.size)
         radius = positive_finite(self.sample_radius, "sample_radius")
-        if not (0.0 <= self.residual < math.inf):
+        if not (0.0 <= self.residual < np.inf):
             raise ValueError(f"residual must be finite and >= 0, got {self.residual!r}")
         if self.residual > NON_MANIFOLD_RESIDUAL_FRACTION * radius:
             raise ValueError("residual exceeds the flatness threshold")
         object.__setattr__(self, "base_point", base)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "sample_radius", radius)
-        object.__setattr__(self, "residual", float(self.residual))
 
 
 def estimate_tangent(spec: NormSpec, e0, sample_radius: float) -> EstimatedTangent:

@@ -454,6 +454,7 @@ def test_sample_design_is_whole_sign_closed_classes():
         D, U = sample_design(dim, rows, 0.05)
         again = sample_design(dim, rows, 0.05)
         assert np.array_equal(D, again[0]) and np.array_equal(U, again[1])
+        assert not (D.flags.writeable or U.flags.writeable)  # shared by every caller
         assert D.shape == (len(U), dim) and rows <= len(U) < rows + 4
         assert np.all((0.05 <= U) & (U < 1.0))
         assert np.allclose(np.linalg.norm(D, axis=1), 1.0, rtol=0.0, atol=1e-15)
