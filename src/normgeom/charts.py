@@ -31,6 +31,10 @@ _DOMAIN_SLACK = 1e-9
 
 _NEWTON_MAX_ITER = 50
 
+#: Largest ray component and norm defect, relative to |e0|, that
+#: ``sphere_chart_image_check`` accepts.
+_IMAGE_TOL = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class TangentFrame:
@@ -273,17 +277,16 @@ def _near_base(spec: NormSpec, chart: Chart, samples: int, fraction: float) -> A
                                          / spec.values(D))[:, None]
 
 
-def sphere_chart_image_check(spec: NormSpec, chart: Chart, samples: int = 64, *,
-                             ray_tol: float = 1e-9,
-                             norm_tol: float = 1e-9) -> ChartImageReport:
+def sphere_chart_image_check(spec: NormSpec, chart: Chart, samples: int) -> ChartImageReport:
     """Check both inclusions behind the chart's normal form.
 
     Sphere points near the base must map into the tangent hyperplane
     (vanishing ray component), and tangent vectors must map back onto the
     sphere (vanishing norm defect). Each pass takes at least ``samples``
-    points of the fixed ``sample_design``. Violations are collected into the
-    report together with the offending points; nothing is raised.
-    Components are measured relative to the sphere radius.
+    points of the fixed ``sample_design``. Components are measured relative
+    to the sphere radius, and either one above 1e-9 is a violation.
+    Violations are collected into the report together with the offending
+    points; nothing is raised.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -294,7 +297,7 @@ def sphere_chart_image_check(spec: NormSpec, chart: Chart, samples: int = 64, *,
     E = _near_base(spec, chart, samples, 0.4)
     E *= (r / spec.values(E))[:, None]
     ray = np.abs(chart_forward_rows(chart, E) @ chart.frame.gradient.coeffs) / r
-    for i in np.flatnonzero(ray > ray_tol):
+    for i in np.flatnonzero(ray > _IMAGE_TOL):
         failures.append({"kind": "ray_component", "point": E[i].tolist(),
                          "value": float(ray[i])})
 
@@ -307,7 +310,7 @@ def sphere_chart_image_check(spec: NormSpec, chart: Chart, samples: int = 64, *,
         failed = np.array([err is not None for err in errors], dtype=bool)
         defect = np.zeros(len(C))
         defect[~failed] = np.abs(spec.values(E[~failed]) - r) / r
-        for i in np.flatnonzero(failed | (defect > norm_tol)):
+        for i in np.flatnonzero(failed | (defect > _IMAGE_TOL)):
             if failed[i]:
                 failures.append({"kind": "inverse_convergence",
                                  "point": C[i].tolist(), "value": str(errors[i])})

@@ -150,7 +150,7 @@ def _cmd_grad(request: AnalysisRequest, point, seed: int):
                   "witness_direction": verdict.witness_direction.tolist(),
                   "right_deriv": verdict.right_deriv,
                   "left_deriv": verdict.left_deriv}
-        return result, ok, None, lines
+        return result, ok, lines
 
     grad_fd = fd_gradient(spec, point).coeffs if geo.grad_fd is None else geo.grad_fd
     result = {"smooth": True, "grad_fd": grad_fd.tolist()}
@@ -179,7 +179,7 @@ def _cmd_grad(request: AnalysisRequest, point, seed: int):
     result["max_discrepancy"] = worst
     lines.append(f"  max discrepancy vs fd: "
                  f"{'n/a' if worst is None else format(worst, '.3e')}")
-    return result, ok, worst, lines
+    return result, ok, lines
 
 
 def _cmd_classify(request: AnalysisRequest, point, seed: int):
@@ -199,7 +199,7 @@ def _cmd_classify(request: AnalysisRequest, point, seed: int):
         lines = [f"point {_fmt_vec(point)}: NonSmooth, witness "
                  f"{_fmt_vec(verdict.witness_direction)}, slopes "
                  f"{verdict.right_deriv:.12g} / {verdict.left_deriv:.12g}"]
-    return result, True, None, lines
+    return result, True, lines
 
 
 def _cmd_chart(request: AnalysisRequest, point, seed: int):
@@ -236,7 +236,7 @@ def _cmd_chart(request: AnalysisRequest, point, seed: int):
              f"{'ok' if ok else 'FAIL'}"]
     if left:
         lines.append(f"  {left} of {len(E)} sample images left the inverse's domain radius")
-    return result, ok, None, lines
+    return result, ok, lines
 
 
 def _cmd_probe(request: AnalysisRequest, point, seed: int):
@@ -248,7 +248,7 @@ def _cmd_probe(request: AnalysisRequest, point, seed: int):
     lines.append(f"  {'delta_norm':>14}  {'proj_diff_norm':>16}")
     for row in rows:
         lines.append(f"  {row.delta_norm:14.6e}  {row.proj_diff_norm:16.6e}")
-    return result, True, None, lines
+    return result, True, lines
 
 
 def _cmd_roundtrip(request: AnalysisRequest, point, seed: int):
@@ -262,7 +262,7 @@ def _cmd_roundtrip(request: AnalysisRequest, point, seed: int):
     lines = [f"point {_fmt_vec(point)}: {kind}, verdict {report.verdict}"]
     if report.max_discrepancy is not None:
         lines.append(f"  gradient discrepancy {report.max_discrepancy:.3e}")
-    return result, ok, report.max_discrepancy, lines
+    return result, ok, lines
 
 
 def _cmd_sphere_sample(request: AnalysisRequest, seed: int):
@@ -273,7 +273,7 @@ def _cmd_sphere_sample(request: AnalysisRequest, seed: int):
     X = np.random.default_rng(seed).standard_normal((count, spec.dim))
     result = {"samples": (X / spec.values(X)[:, None]).tolist()}
     lines = [f"sphere-sample: {count} points on the unit sphere"]
-    return result, True, None, lines
+    return result, True, lines
 
 
 def run_request(request: AnalysisRequest) -> tuple[Report, list[str]]:
@@ -287,7 +287,7 @@ def run_request(request: AnalysisRequest) -> tuple[Report, list[str]]:
 
     for command in request.commands:
         if command == "sphere-sample":
-            result, ok, _, text = _cmd_sphere_sample(request, request.seed)
+            result, ok, text = _cmd_sphere_sample(request, request.seed)
             results.append({"point": None, "command": command, "result": result})
             all_ok &= ok
             lines.extend(text)
@@ -298,7 +298,7 @@ def run_request(request: AnalysisRequest) -> tuple[Report, list[str]]:
                    "chart": _cmd_chart, "probe": _cmd_probe,
                    "roundtrip": _cmd_roundtrip}[command]
         for index, point in enumerate(request.points):
-            result, ok, disc, text = handler(request, point, request.seed + index)
+            result, ok, text = handler(request, point, request.seed + index)
             results.append({"point": point.tolist(), "command": command,
                             "result": result})
             all_ok &= ok
@@ -306,6 +306,7 @@ def run_request(request: AnalysisRequest) -> tuple[Report, list[str]]:
             if "smooth" in result:
                 smooth += bool(result["smooth"])
                 non_smooth += not result["smooth"]
+            disc = result.get("max_discrepancy")
             if disc is not None and np.isfinite(disc):
                 worst = disc if worst is None else max(worst, disc)
 

@@ -26,6 +26,11 @@ from .norms import GradientFunctional, NormSpec, _fd_gradient, as_vector, eval_n
 #: a smooth sphere's residual is o(radius) while a corner's is Theta(radius).
 NON_MANIFOLD_RESIDUAL_FRACTION = 0.1
 
+#: ``directional_expansion_check`` probes at scales 10**-k of |e0|, one per k.
+_EXPANSION_EXPONENTS = (2, 3, 4, 5)
+#: Largest ratio at the finest scale that still counts as first-order flat.
+_EXPANSION_FINAL_TOL = 1e-3
+
 
 @dataclass(frozen=True, eq=False)
 class EstimatedTangent:
@@ -156,18 +161,14 @@ class ExpansionReport:
                 "passed": self.passed}
 
 
-def _decaying(ratios: list[float], final_tol: float) -> bool:
-    if not ratios:
-        return True
+def _decaying(ratios: list[float]) -> bool:
     for a, b in zip(ratios, ratios[1:]):
         if b > 1.25 * a + 1e-12:
             return False
-    return ratios[-1] <= final_tol
+    return ratios[-1] <= _EXPANSION_FINAL_TOL
 
 
-def directional_expansion_check(spec: NormSpec, e0, tangent, *,
-                                exponents=(2, 3, 4, 5),
-                                final_tol: float = 1e-3) -> ExpansionReport:
+def directional_expansion_check(spec: NormSpec, e0, tangent) -> ExpansionReport:
     """Check that norm increments are first-order flat along the tangent.
 
     For tangent steps tau the increment |e0 + tau| - |e0| must vanish
@@ -182,7 +183,7 @@ def directional_expansion_check(spec: NormSpec, e0, tangent, *,
     r = eval_norm(spec, e0)
     basis = np.atleast_2d(np.asarray(tangent.basis, dtype=float))
     # scalar powers: an array 10.0 ** k may differ from them in the last bit
-    lam = np.array([10.0 ** (-float(k)) for k in exponents])
+    lam = np.array([10.0 ** (-float(k)) for k in _EXPANSION_EXPONENTS])
     tau = (r * lam)[:, None, None] * basis  # (scale, basis row, coordinate)
     h = tau + lam[:, None, None] * e0
     steps = np.stack([tau, e0 + tau, h, e0 + h])
@@ -192,8 +193,8 @@ def directional_expansion_check(spec: NormSpec, e0, tangent, *,
     worst_mixed = (np.abs(mixed - r - lam[:, None] * r) / h_len).max(axis=1, initial=0.0)
     rows = [ExpansionRow(float(s), float(a), float(b))
             for s, a, b in zip(r * lam, worst_tangent, worst_mixed)]
-    tangent_ok = _decaying([row.tangent_ratio for row in rows], final_tol)
-    mixed_ok = _decaying([row.mixed_ratio for row in rows], final_tol)
+    tangent_ok = _decaying([row.tangent_ratio for row in rows])
+    mixed_ok = _decaying([row.mixed_ratio for row in rows])
     return ExpansionReport(rows, tangent_ok, mixed_ok)
 
 

@@ -101,9 +101,6 @@ class NormSpec:
         """
         raise NotImplementedError
 
-    def __call__(self, x) -> float:
-        return self.value(x)
-
     def _closed_form_rows(self, E: Rows, norms: Vector) -> tuple[Rows, Mask]:
         """The family's one derivative formula, at checked nonzero rows ``E``.
 
@@ -371,9 +368,6 @@ class GradientFunctional:
     def apply(self, h) -> float:
         return float(self.coeffs @ as_vector(h, self.coeffs.size))
 
-    def __call__(self, h) -> float:
-        return self.apply(h)
-
 
 @dataclass(frozen=True, eq=False)
 class SmoothnessVerdict:
@@ -384,7 +378,6 @@ class SmoothnessVerdict:
     what breaks linearity.
     """
 
-    point: Vector
     smooth: bool
     gradient: GradientFunctional | None = None
     witness_direction: Vector | None = None
@@ -435,14 +428,13 @@ def _fd_gradient(spec: NormSpec, e0: Vector, r: float,
     return GradientFunctional((upper - lower) / (2.0 * step))
 
 
-def one_sided_derivative(spec: NormSpec, e0, v,
-                         step_sequence=None) -> float:
+def one_sided_derivative(spec: NormSpec, e0, v) -> float:
     """Right-sided directional slope lim_{t->0+} (|e0 + t v| - |e0|) / t.
 
     The quotients come from one stack of the rows e0, e0 + t_1 v, ...,
-    e0 + t_k v over a decreasing step grid, and are polynomially
-    extrapolated to zero. Convexity of the norm guarantees the limit
-    exists in every direction, smooth point or not.
+    e0 + t_k v, with t the ``DEFAULT_STEP_SEQUENCE`` times |e0|_2, and are
+    polynomially extrapolated to zero. Convexity of the norm guarantees the
+    limit exists in every direction, smooth point or not.
     """
     e0 = as_vector(e0, spec.dim)
     v = as_vector(v, spec.dim)
@@ -450,17 +442,14 @@ def one_sided_derivative(spec: NormSpec, e0, v,
         raise ValueError("base point must be nonzero")
     if not np.any(v):
         raise ValueError("direction must be nonzero")
-    if step_sequence is None:
-        # |e0|_2 from one dot product (vdot sets no overflow warning); the
-        # scaled form only where the square over- or underflows
-        scale = math.sqrt(np.vdot(e0, e0))
-        if not 1e-150 <= scale <= 1e150:
-            scale = float(euclidean_norm(e0))
-        step_sequence = tuple(s * scale for s in DEFAULT_STEP_SEQUENCE)
-    steps = [float(t) for t in step_sequence]
-    if any(t <= 0.0 for t in steps) or any(a <= b for a, b in zip(steps, steps[1:])):
-        raise ValueError("step_sequence must be positive and strictly decreasing")
-    t = np.array(steps)
+    # |e0|_2 from one dot product (vdot sets no overflow warning); the
+    # scaled form only where the square over- or underflows
+    scale = math.sqrt(np.vdot(e0, e0))
+    if not 1e-150 <= scale <= 1e150:
+        scale = float(euclidean_norm(e0))
+    t = np.array([s * scale for s in DEFAULT_STEP_SEQUENCE])
+    if t[-1] == 0.0:  # |e0| so far below the least normal float that a step rounds to 0
+        raise ValueError("base point is too small for the step grid")
     norms = spec.values(np.vstack([e0, e0 + t[:, None] * v]))
     return extrapolate_to_zero(t, (norms[1:] - norms[0]) / t)
 
@@ -513,9 +502,8 @@ def classify_point(spec: NormSpec, e0, *, tol: float = CLASSIFY_TOL,
             gradient = analytic_gradient(spec, e0)
         except NotDifferentiableError:
             gradient = grad
-        return SmoothnessVerdict(point=frozen_copy(e0), smooth=True,
-                                 gradient=gradient, violation=worst_violation)
-    return SmoothnessVerdict(point=frozen_copy(e0), smooth=False,
+        return SmoothnessVerdict(smooth=True, gradient=gradient, violation=worst_violation)
+    return SmoothnessVerdict(smooth=False,
                              witness_direction=frozen_copy(v),
                              right_deriv=d_plus, left_deriv=-d_minus,
                              violation=worst_violation)

@@ -11,6 +11,7 @@ from normgeom import (Chart, ChartDomainError, ConvergenceError, DecompositionEr
                       alpha_operator, analytic_gradient, build_chart, chart_forward,
                       chart_inverse, eval_norm, fd_gradient, projection_continuity_probe,
                       scale_chart, sphere_chart_image_check, tangent_frame)
+from normgeom import charts
 from normgeom._linalg import orthonormal_complement, sample_design
 from normgeom.charts import chart_forward_rows, chart_inverse_rows
 from helpers import (FAMILIES, chart_forward_rows_reference, chart_inverse_rows_reference,
@@ -441,15 +442,25 @@ def test_sphere_image_check_circle():
     assert report.max_norm_defect <= 1e-9
 
 
-def test_sphere_image_check_reports_failures_without_raising():
+def _off_hyperplane(monkeypatch):
+    """Shift every chart image by 1e-6 e0, a ray component of 1e-6 > 1e-9."""
+    def shifted(chart, E):
+        return chart_forward_rows(chart, E) + 1e-6 * chart.frame.base_point
+
+    monkeypatch.setattr(charts, "chart_forward_rows", shifted)
+
+
+def test_sphere_image_check_reports_failures_without_raising(monkeypatch):
     chart = build_chart(EUCLID2, [1.0, 0.0])
-    report = sphere_chart_image_check(EUCLID2, chart, samples=10, ray_tol=1e-20)
+    _off_hyperplane(monkeypatch)
+    report = sphere_chart_image_check(EUCLID2, chart, samples=10)
     assert not report.passed
     assert report.failures and report.failures[0]["kind"] == "ray_component"
+    assert report.failures[0]["value"] == pytest.approx(1e-6, rel=1e-6)
     assert "point" in report.failures[0]
 
 
-def test_sample_design_is_whole_sign_closed_classes():
+def test_sample_design_is_whole_sign_closed_classes(monkeypatch):
     for dim, rows in [(1, 5), (2, 12), (3, 18), (4, 7), (5, 30)]:
         D, U = sample_design(dim, rows, 0.05)
         again = sample_design(dim, rows, 0.05)
@@ -473,11 +484,12 @@ def test_sample_design_is_whole_sign_closed_classes():
         for flip in itertools.product((1.0, -1.0), repeat=dim):
             assert {(*(np.array(flip) * d), u) for d, u in zip(D, U)} == design
     assert len(sample_design(3, 18, 0.5)[1]) == 18  # the tangent fit's 6n rows
-    # a negative tolerance fails every forward sample of the image check, so
-    # its report lists the sphere points built from the design
+    # images shifted off the hyperplane fail every forward sample of the
+    # image check, so its report lists the sphere points built from the design
     spec = LpNorm(4.0, 2)
     chart = build_chart(spec, [0.6, 0.8])
-    report = sphere_chart_image_check(spec, chart, samples=8, ray_tol=-1.0)
+    _off_hyperplane(monkeypatch)
+    report = sphere_chart_image_check(spec, chart, samples=8)
     D, U = sample_design(2, 8, 0.05)
     E = chart.frame.base_point + D * (0.4 * chart.domain_radius * U / spec.values(D))[:, None]
     expected = E * (chart.base_norm / spec.values(E))[:, None]
