@@ -14,7 +14,7 @@ the sphere, and the chart derivative at the base point is the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -257,13 +257,13 @@ def _build_chart(spec: NormSpec, e0: Array, r: float, domain_radius: float | Non
     return Chart(spec, frame, radius, r)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ChartImageReport:
     """Result of checking that a chart exchanges sphere and hyperplane."""
 
     max_ray_component: float
     max_norm_defect: float
-    failures: list = field(default_factory=list)
+    failures: tuple[dict, ...]
 
     @property
     def passed(self) -> bool:
@@ -320,7 +320,7 @@ def sphere_chart_image_check(spec: NormSpec, chart: Chart, samples: int) -> Char
 
     return ChartImageReport(max_ray_component=float(ray.max(initial=0.0)),
                             max_norm_defect=float(defect.max(initial=0.0)),
-                            failures=failures)
+                            failures=tuple(failures))
 
 
 def scale_chart(chart: Chart, r: float) -> Chart:

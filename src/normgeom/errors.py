@@ -22,17 +22,17 @@ class EstimationError(GeometryError):
 class NonManifoldSuspected(EstimationError):
     """Sphere samples are not flat to first order near the base point.
 
-    Raised when the hyperplane-fit residual exceeds a fixed fraction of
-    the sampling radius, the signature of a corner or edge.
+    Raised when the hyperplane-fit residual exceeds ``threshold``, a fixed
+    fraction of the sampling radius: the signature of a corner or edge.
     """
 
-    def __init__(self, point, residual: float, sample_radius: float):
-        self.point = point
+    def __init__(self, residual: float, sample_radius: float, threshold: float):
         self.residual = float(residual)
         self.sample_radius = float(sample_radius)
+        self.threshold = float(threshold)
         super().__init__(
             f"fit residual {self.residual:.3e} exceeds "
-            f"{0.1 * self.sample_radius:.3e} at sample radius "
+            f"{self.threshold:.3e} at sample radius "
             f"{self.sample_radius:.3e}; sphere not locally flat"
         )
 

@@ -96,8 +96,9 @@ def _estimate_tangent(spec: NormSpec, e0: Array, r: float,
         raise EstimationError("sphere samples are degenerate; fit is rank deficient")
     normal = vt[n - 1]
     residual = float(np.max(np.abs(diffs @ normal)))
-    if residual > NON_MANIFOLD_RESIDUAL_FRACTION * sample_radius:
-        raise NonManifoldSuspected(e0, residual, sample_radius)
+    threshold = NON_MANIFOLD_RESIDUAL_FRACTION * sample_radius
+    if residual > threshold:
+        raise NonManifoldSuspected(residual, sample_radius, threshold)
     return EstimatedTangent(e0, vt[: n - 1], sample_radius, residual)
 
 
@@ -130,7 +131,7 @@ def _geometric_gradient(tangent: EstimatedTangent, r: float) -> GradientFunction
     return GradientFunctional(r * normal / (normal @ e0))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ExpansionRow:
     """Ratios of norm increments to step size at one probe scale."""
 
@@ -143,11 +144,11 @@ class ExpansionRow:
                 "mixed_ratio": self.mixed_ratio}
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ExpansionReport:
     """First-order expansion diagnostics along tangent and mixed directions."""
 
-    rows: list
+    rows: tuple[ExpansionRow, ...]
     tangent_ok: bool
     mixed_ok: bool
 
@@ -191,14 +192,14 @@ def directional_expansion_check(spec: NormSpec, e0, tangent) -> ExpansionReport:
     tau_len, moved, h_len, mixed = norms.reshape(steps.shape[:3])
     worst_tangent = (np.abs(moved - r) / tau_len).max(axis=1, initial=0.0)
     worst_mixed = (np.abs(mixed - r - lam[:, None] * r) / h_len).max(axis=1, initial=0.0)
-    rows = [ExpansionRow(float(s), float(a), float(b))
-            for s, a, b in zip(r * lam, worst_tangent, worst_mixed)]
+    rows = tuple(ExpansionRow(float(s), float(a), float(b))
+                 for s, a, b in zip(r * lam, worst_tangent, worst_mixed))
     tangent_ok = _decaying([row.tangent_ratio for row in rows])
     mixed_ok = _decaying([row.mixed_ratio for row in rows])
     return ExpansionReport(rows, tangent_ok, mixed_ok)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class RoundtripReport:
     """Agreement record between the analytic and geometric routes at one point."""
 

@@ -13,6 +13,7 @@ from normgeom import (AnalysisRequest, QuadraticNorm, emit_plot_data,
                       run_request, spec_from_dict)
 from normgeom import cli, errors
 from normgeom.cli import run_cli, validate_report
+from normgeom.geometric import GeometricCheck
 from helpers import EXTREME_SCALES, generic_point, smooth_specs, sphere_sample_reference
 
 
@@ -35,6 +36,25 @@ def test_grad_prints_base_point_coefficients(circle_spec, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "(0.6, 0.8)" in out  # closed form at (0.6, 0.8) is exactly that
+
+
+def test_grad_reports_a_failed_tangent_fit_at_a_smooth_point(circle_spec, monkeypatch,
+                                                              tmp_path):
+    # no shipped input is smooth and not flat, so the fit's failure is forced
+    error = errors.EstimationError("sphere samples are degenerate")
+    monkeypatch.setattr(cli, "geometric_check",
+                        lambda spec, point, **options: GeometricCheck(1e-2, error))
+    out = tmp_path / "grad.json"
+    assert run_cli(["grad", circle_spec, "--point", "0.6,0.8", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    validate_report(report)
+    result = report["results"][0]["result"]
+    assert result["smooth"] and result["grad_geometric"] is None
+    assert result["geometric_error"] == str(error)
+    assert result["grad_fd"] == pytest.approx([0.6, 0.8], abs=1e-9)
+    # the worst finite discrepancy left is the closed form's against fd
+    assert report["summary"]["max_discrepancy"] == result["max_discrepancy"] <= 1e-6
+    assert not report["summary"]["all_passed"]
 
 
 def test_classify_corner_exits_zero(square_spec, capsys):
@@ -382,7 +402,7 @@ def test_chart_results_do_not_depend_on_the_seed(lp4_spec, tmp_path):
     (errors.DecompositionError("base point lies in the estimated tangent"), 1),
     (errors.ConvergenceError("newton stalled"), 1),
     (errors.EstimationError("samples are degenerate"), 1),
-    (errors.NonManifoldSuspected([1.0, 1.0], 1e-3, 1e-3), 1),
+    (errors.NonManifoldSuspected(1e-3, 1e-3, 1e-4), 1),
     (errors.NotDifferentiableError("corner"), 1),
     (ValueError("malformed"), 2),
 ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import types
 
@@ -11,7 +12,7 @@ from normgeom import (DecompositionError, EstimatedTangent, L1Norm, LInfNorm,
                       analytic_gradient, classify_point,
                       directional_expansion_check, equivalence_roundtrip,
                       estimate_tangent, eval_norm, fd_gradient,
-                      geometric_gradient, tangent_frame)
+                      geometric_gradient, sphere_chart_image_check, tangent_frame)
 from normgeom import charts, geometric
 from helpers import (EXTREME_SCALES, FAMILIES, central_diff_gradient, expansion_reference,
                      generic_point, geometric_gradient_coeffs_reference, smooth_specs,
@@ -43,6 +44,15 @@ def test_estimate_flags_corner():
     with pytest.raises(NonManifoldSuspected) as err:
         estimate_tangent(LInfNorm(2), [1.0, 1.0], 1e-3)
     assert err.value.residual > 0.1 * err.value.sample_radius
+
+
+def test_non_manifold_threshold_is_the_fits_own(monkeypatch):
+    # the error reports the threshold the fit compared against, not a copy of it
+    monkeypatch.setattr(geometric, "NON_MANIFOLD_RESIDUAL_FRACTION", 0.2)
+    with pytest.raises(NonManifoldSuspected) as err:
+        estimate_tangent(LInfNorm(2), [1.0, 1.0], 1e-3)
+    assert err.value.threshold == 0.2 * 1e-3 < err.value.residual
+    assert f"exceeds {0.2 * 1e-3:.3e} at sample radius" in str(err.value)
 
 
 def test_estimate_validation():
@@ -269,6 +279,13 @@ def test_expansion_rows_match_the_scalar_loop(family, seed, corner, decade):
     assert got == expansion_reference(spec, x, basis)
 
 
+def test_decaying_refuses_a_ratio_that_grows():
+    # a ratio may exceed the one before it by at most 25 % (plus 1e-12)
+    assert geometric._decaying([1e-2, 1e-3, 1.2e-3, 1e-5])
+    assert not geometric._decaying([1e-2, 1e-3, 1.3e-3, 1e-5])
+    assert not geometric._decaying([1e-2, 1e-2, 1e-2, 1e-2])  # level, but above 1e-3
+
+
 def test_expansion_report_serialization():
     frame = tangent_frame(EUCLID2, [1.0, 0.0])
     report = directional_expansion_check(EUCLID2, [1.0, 0.0], frame)
@@ -278,6 +295,18 @@ def test_expansion_report_serialization():
 
 
 # -------------------------------------------------------------- round trip
+
+def test_result_types_are_frozen():
+    chart = charts.build_chart(EUCLID2, [1.0, 0.0])
+    image = sphere_chart_image_check(EUCLID2, chart, samples=8)
+    expansion = directional_expansion_check(EUCLID2, [1.0, 0.0], chart.frame)
+    roundtrip = equivalence_roundtrip(EUCLID2, [0.6, 0.8])
+    for report, name in [(image, "failures"), (expansion, "rows"),
+                         (expansion.rows[0], "scale"), (roundtrip, "verdict")]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(report, name, getattr(report, name))
+    assert isinstance(image.failures, tuple) and isinstance(expansion.rows, tuple)
+
 
 def test_roundtrip_circle_consistent():
     report = equivalence_roundtrip(EUCLID2, [0.6, 0.8])

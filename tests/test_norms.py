@@ -497,6 +497,27 @@ def test_classify_verdict_is_scale_free(family, seed, corner, offset, decade):
         assert scaled.gradient.coeffs == pytest.approx(verdict.gradient.coeffs, abs=1e-9)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("corner", [False, True])
+def test_classify_evaluates_a_fixed_sequence_of_stacks(family, corner):
+    spec, x = tie_point(family, np.random.default_rng(5), 0.0 if corner else 0.2)
+    n = spec.dim
+    stacks = []
+    values = type(spec).values
+
+    def spy_values(self, X):
+        stacks.append(np.shape(X))
+        return values(self, X)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(type(spec), "values", spy_values)
+        verdict = classify_point(spec, x)
+    # |x|, then fd_gradient's |u| and 2n shifts, then two slopes along each
+    # of the 2n directions, and the closed form's one row at a smooth point
+    slopes = [(len(DEFAULT_STEP_SEQUENCE) + 1, n)] * (4 * n)
+    assert stacks == [(1, n), (1, n), (2 * n, n)] + slopes + [(1, n)] * verdict.smooth
+
+
 def test_classify_budget_validation():
     with pytest.raises(ValueError):
         classify_point(EUCLID2, [0.0, 0.0])
