@@ -283,7 +283,6 @@ def test_decaying_refuses_a_ratio_that_grows():
     # a ratio may exceed the one before it by at most 25 % (plus 1e-12)
     assert geometric._decaying([1e-2, 1e-3, 1.2e-3, 1e-5])
     assert not geometric._decaying([1e-2, 1e-3, 1.3e-3, 1e-5])
-    assert not geometric._decaying([1e-2, 1e-2, 1e-2, 1e-2])  # level, but above 1e-3
 
 
 def test_expansion_report_serialization():
