@@ -23,7 +23,7 @@ from ._linalg import (Array, euclidean_norm, frozen_copy, oblique_projection,
                       tangent_basis)
 from .errors import (ChartDomainError, ConvergenceError, DecompositionError,
                      GeometryError, NotDifferentiableError)
-from .norms import (GradientFunctional, NormSpec, as_rows, as_vector, classify_point,
+from .norms import (CLASSIFY_TOL, GradientFunctional, NormSpec, _classify, as_rows, as_vector,
                     eval_norm)
 
 #: Slack applied to domain-membership checks, relative to the radius.
@@ -88,7 +88,19 @@ def tangent_frame(spec: NormSpec, e0, *, seed: int = 0) -> TangentFrame:
     elimination so near-axis gradients stay well conditioned.
     """
     e0 = as_vector(e0, spec.dim)
-    verdict = classify_point(spec, e0, seed=seed)
+    return _tangent_frame(spec, e0, eval_norm(spec, e0), seed)
+
+
+def _tangent_frame(spec: NormSpec, e0: Array, r: float, seed: int,
+                   fd: GradientFunctional | None = None) -> TangentFrame:
+    """``tangent_frame`` at a checked ``e0`` whose norm is ``r``.
+
+    ``fd``, the central-difference functional at e0, saves the classifier
+    from computing its own.
+    """
+    if not np.any(e0):
+        raise ValueError("cannot classify the origin")
+    verdict = _classify(spec, e0, r, CLASSIFY_TOL, seed, fd)
     if not verdict.smooth:
         raise NotDifferentiableError(
             f"no tangent frame at a non-smooth point (violation "
@@ -129,13 +141,18 @@ def chart_forward_rows(chart: Chart, E) -> Array:
     phi(E) = E - (g(E) / g(e0) - (|E| - r) / r) e0.
     """
     E = as_rows(E, chart.frame.dim)
-    base = chart.frame.base_point
-    offsets = chart.spec.values(E - base)
+    offsets = chart.spec.values(E - chart.frame.base_point)
     outside = np.flatnonzero(offsets > chart.domain_radius * (1.0 + _DOMAIN_SLACK))
     if outside.size:
         raise ChartDomainError(
             f"point at distance {offsets[outside[0]]:.3e} exceeds domain radius "
             f"{chart.domain_radius:.3e}")
+    return _forward_rows(chart, E)
+
+
+def _forward_rows(chart: Chart, E: Array) -> Array:
+    """``chart_forward_rows`` at checked rows ``E`` known to lie in the domain."""
+    base = chart.frame.base_point
     r = chart.base_norm
     g = chart.frame.gradient
     ray = E @ g.coeffs / g.apply(base) - (chart.spec.values(E) - r) / r
@@ -164,15 +181,27 @@ def chart_inverse_rows(chart: Chart, C) -> tuple[Array, list[GeometryError | Non
     preimages, NaN on failed rows, and per row its error or None.
     """
     C = as_rows(C, chart.frame.dim)
+    outside = chart.spec.values(C) > chart.domain_radius * (1.0 + _DOMAIN_SLACK)
+    E, _, errors = _inverse_rows(chart, C, [
+        ChartDomainError("chart coordinates outside the domain radius") if far else None
+        for far in outside])
+    return E, errors
+
+
+def _inverse_rows(chart: Chart, C: Array, errors: list[GeometryError | None]
+                  ) -> tuple[Array, Array, list[GeometryError | None]]:
+    """The Newton iteration of ``chart_inverse_rows`` at checked rows ``C``.
+
+    Rows whose ``errors`` entry is set are skipped. Returns the preimages,
+    their norms (both NaN on failed rows) and the updated ``errors``.
+    """
     k = C.shape[0]
-    errors: list[GeometryError | None] = [None] * k
-    for i in np.flatnonzero(chart.spec.values(C) > chart.domain_radius * (1.0 + _DOMAIN_SLACK)):
-        errors[i] = ChartDomainError("chart coordinates outside the domain radius")
     base = chart.frame.base_point
     r = chart.base_norm
     target = r * (1.0 + C @ chart.frame.gradient.coeffs / chart.frame.gradient.apply(base))
     s = np.zeros(k)
     out = np.full_like(C, np.nan)
+    out_norms = np.full(k, np.nan)
     best_res = np.full(k, np.inf)
     active = np.flatnonzero([err is None for err in errors])
     for _ in range(_NEWTON_MAX_ITER):
@@ -189,9 +218,11 @@ def chart_inverse_rows(chart: Chart, C) -> tuple[Array, list[GeometryError | Non
         res = np.abs(f)
         better = res < best_res[active]
         out[active[better]] = Ea[better]
+        out_norms[active[better]] = norms[better]
         best_res[active[better]] = res[better]
         done = res <= 1e-12 * r
         out[active[done]] = Ea[done]
+        out_norms[active[done]] = norms[done]
         active, Ea, norms, f = active[~done], Ea[~done], norms[~done], f[~done]
         slope = chart.spec._gradient_rows(Ea, norms) @ base
         usable = slope != 0.0
@@ -204,8 +235,10 @@ def chart_inverse_rows(chart: Chart, C) -> tuple[Array, list[GeometryError | Non
             errors[i] = ConvergenceError(
                 f"newton stalled at residual {best_res[i]:.3e}; domain_radius "
                 f"{chart.domain_radius:.3e} is likely too large")
-    out[[i for i, err in enumerate(errors) if err is not None]] = np.nan
-    return out, errors
+    failed = [i for i, err in enumerate(errors) if err is not None]
+    out[failed] = np.nan
+    out_norms[failed] = np.nan
+    return out, out_norms, errors
 
 
 def chart_inverse(chart: Chart, c) -> Array:
@@ -250,9 +283,10 @@ def build_chart(spec: NormSpec, e0, domain_radius: float | None = None, *,
 
 
 def _build_chart(spec: NormSpec, e0: Array, r: float, domain_radius: float | None,
-                 seed: int) -> Chart:
-    """``build_chart`` at a checked ``e0`` whose norm is ``r``."""
-    frame = tangent_frame(spec, e0, seed=seed)
+                 seed: int, fd: GradientFunctional | None = None) -> Chart:
+    """``build_chart`` at a checked ``e0`` whose norm is ``r``; ``fd`` as in
+    ``_tangent_frame``."""
+    frame = _tangent_frame(spec, e0, r, seed, fd)
     radius = 0.25 * r if domain_radius is None else domain_radius
     return Chart(spec, frame, radius, r)
 
@@ -287,6 +321,12 @@ def sphere_chart_image_check(spec: NormSpec, chart: Chart, samples: int) -> Char
     to the sphere radius, and either one above 1e-9 is a violation.
     Violations are collected into the report together with the offending
     points; nothing is raised.
+
+    Neither pass re-checks the chart domain: a sphere sample lies within
+    0.4 * domain_radius of a point at that distance from the base, so
+    within 0.8 * domain_radius of the base (triangle inequality), and
+    every tangent target has norm 0.4 * domain_radius * U with U < 1. The
+    norm defects come from the norms Newton ends at.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -296,7 +336,7 @@ def sphere_chart_image_check(spec: NormSpec, chart: Chart, samples: int) -> Char
 
     E = _near_base(spec, chart, samples, 0.4)
     E *= (r / spec.values(E))[:, None]
-    ray = np.abs(chart_forward_rows(chart, E) @ chart.frame.gradient.coeffs) / r
+    ray = np.abs(_forward_rows(chart, E) @ chart.frame.gradient.coeffs) / r
     for i in np.flatnonzero(ray > _IMAGE_TOL):
         failures.append({"kind": "ray_component", "point": E[i].tolist(),
                          "value": float(ray[i])})
@@ -306,10 +346,10 @@ def sphere_chart_image_check(spec: NormSpec, chart: Chart, samples: int) -> Char
         W, U = sample_design(n - 1, samples, 0.05)
         C = W @ chart.frame.basis
         C *= (0.4 * chart.domain_radius * U / spec.values(C))[:, None]
-        E, errors = chart_inverse_rows(chart, C)
+        E, norms, errors = _inverse_rows(chart, C, [None] * len(C))
         failed = np.array([err is not None for err in errors], dtype=bool)
         defect = np.zeros(len(C))
-        defect[~failed] = np.abs(spec.values(E[~failed]) - r) / r
+        defect[~failed] = np.abs(norms[~failed] - r) / r
         for i in np.flatnonzero(failed | (defect > _IMAGE_TOL)):
             if failed[i]:
                 failures.append({"kind": "inverse_convergence",

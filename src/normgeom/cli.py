@@ -52,18 +52,20 @@ _POSITIVE_REALS = ("classify_tol", "grad_tol", "sample_radius", "chart_radius")
 ANALYTIC_TOL = 1e-6
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnalysisRequest:
     """Everything one report run depends on; fixing it fixes the output bytes."""
 
     norm: NormSpec
-    points: list
+    points: tuple
     commands: tuple
     tolerances: dict = field(default_factory=dict)
     seed: int = 0
 
     def __post_init__(self):
-        self.points = [as_vector(p, self.norm.dim) for p in self.points]
+        object.__setattr__(self, "points",
+                           tuple(as_vector(p, self.norm.dim) for p in self.points))
+        object.__setattr__(self, "commands", tuple(self.commands))
         unknown = set(self.commands) - set(COMMANDS)
         if unknown:
             raise ValueError(f"unknown commands: {sorted(unknown)}")
@@ -79,14 +81,14 @@ class AnalysisRequest:
         return _DEFAULTS[name] if value is None else value
 
 
-@dataclass
+@dataclass(frozen=True)
 class Report:
     """Per-point results keyed by command plus a global summary."""
 
     tool: str
     version: str
     seed: int
-    commands: list
+    commands: tuple
     spec: dict
     results: list
     summary: dict
@@ -314,7 +316,7 @@ def run_request(request: AnalysisRequest) -> tuple[Report, list[str]]:
                "non_smooth": non_smooth, "max_discrepancy": worst,
                "all_passed": bool(all_ok)}
     report = Report(tool="normgeom", version=__version__, seed=request.seed,
-                    commands=list(request.commands),
+                    commands=request.commands,
                     spec=request.norm.to_dict(), results=results, summary=summary)
     lines.append(f"summary: points={summary['points']} smooth={smooth} "
                  f"non_smooth={non_smooth} all_passed={summary['all_passed']}")

@@ -36,6 +36,10 @@ class NonManifoldSuspected(EstimationError):
             f"{self.sample_radius:.3e}; sphere not locally flat"
         )
 
+    def __reduce__(self):
+        # rebuilt from its fields: ``Exception`` would pass the message alone
+        return type(self), (self.residual, self.sample_radius, self.threshold)
+
 
 class ChartDomainError(GeometryError):
     """A point lies outside the chart's domain of validity."""

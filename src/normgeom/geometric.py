@@ -252,8 +252,10 @@ def geometric_check(spec: NormSpec, e0, *, sample_radius: float | None = None,
 
 
 def _geometric_check(spec: NormSpec, e0: Array, r: float, sample_radius: float | None,
-                     gradient_tol: float | None) -> GeometricCheck:
-    """``geometric_check`` at a checked ``e0`` whose norm is ``r``."""
+                     gradient_tol: float | None,
+                     fd: GradientFunctional | None = None) -> GeometricCheck:
+    """``geometric_check`` at a checked ``e0`` whose norm is ``r``, against
+    the fd oracle ``fd`` at e0 when given."""
     if r == 0.0:
         raise ValueError("base point must be nonzero")
     if sample_radius is None:
@@ -267,7 +269,7 @@ def _geometric_check(spec: NormSpec, e0: Array, r: float, sample_radius: float |
     except EstimationError as exc:  # NonManifoldSuspected included
         return GeometricCheck(gradient_tol, exc)
     grad_geom = _geometric_gradient(tangent, r).coeffs
-    grad_fd = _fd_gradient(spec, e0, r).coeffs
+    grad_fd = (_fd_gradient(spec, e0, r) if fd is None else fd).coeffs
     return GeometricCheck(gradient_tol, None, grad_fd, grad_geom,
                           float(np.max(np.abs(grad_geom - grad_fd))))
 
@@ -282,18 +284,23 @@ def equivalence_roundtrip(spec: NormSpec, e0, *, sample_radius: float | None = N
     compare it with the central-difference oracle. A consistent point
     either passes both routes or fails both (corner detected analytically
     and geometrically); anything else is reported as a violation, which a
-    correct implementation should never produce. The norm of ``e0`` is
-    evaluated once and passed to both routes. ``seed`` seeds only the
-    classifier's random directions.
+    correct implementation should never produce. The norm of ``e0`` and
+    the central-difference oracle there are computed once and passed to
+    both routes: the classifier checks its slopes against the oracle,
+    and route two compares the rebuilt derivative with it. ``seed`` seeds
+    only the classifier's random directions.
     """
     e0 = as_vector(e0, spec.dim)
     r = eval_norm(spec, e0)
-    geo = _geometric_check(spec, e0, r, sample_radius, gradient_tol)
+    if r == 0.0:
+        raise ValueError("base point must be nonzero")
+    fd = _fd_gradient(spec, e0, r)
+    geo = _geometric_check(spec, e0, r, sample_radius, gradient_tol, fd)
     smooth = True
     chart_residual = None
     chart_ok = False
     try:
-        chart = _build_chart(spec, e0, r, None, seed)
+        chart = _build_chart(spec, e0, r, None, seed, fd)
         image = sphere_chart_image_check(spec, chart, samples=32)
         chart_residual = max(image.max_ray_component, image.max_norm_defect)
         chart_ok = image.passed

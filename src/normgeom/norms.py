@@ -64,9 +64,9 @@ def as_rows(X, dim: int) -> Rows:
 
 
 def _row_peaks(A: Rows) -> tuple[Vector, Vector]:
-    """Largest |entry| of each row, and the same with zero rows read as 1."""
-    peak = np.abs(A).max(axis=1)
-    return peak, np.where(peak == 0.0, 1.0, peak)
+    """Largest entry of each row of ``A`` >= 0, and the same with zero rows read as 1."""
+    peak = A.max(axis=1)
+    return peak, peak + (peak == 0.0)
 
 
 #: JSON ``type`` tag -> family class; each family registers itself.
@@ -196,7 +196,7 @@ class LpNorm(NormSpec, kind="lp"):
     def values(self, X) -> Vector:
         A = np.abs(as_rows(X, self.dim))
         peak, safe = _row_peaks(A)
-        return peak * np.sum((A / safe[:, None]) ** self.p, axis=1) ** (1.0 / self.p)
+        return peak * ((A / safe[:, None]) ** self.p).sum(axis=1) ** (1.0 / self.p)
 
     def _closed_form_rows(self, E: Rows, norms: Vector) -> tuple[Rows, Mask]:
         coeffs = np.sign(E) * (np.abs(E) / norms[:, None]) ** (self.p - 1.0)
@@ -213,7 +213,7 @@ class L1Norm(NormSpec, kind="l1"):
         _require_dim(self)
 
     def values(self, X) -> Vector:
-        return np.sum(np.abs(as_rows(X, self.dim)), axis=1)
+        return np.abs(as_rows(X, self.dim)).sum(axis=1)
 
     def _closed_form_rows(self, E: Rows, norms: Vector) -> tuple[Rows, Mask]:
         # a coordinate below TIE_REL_TOL of the largest counts as zero
@@ -265,7 +265,7 @@ class QuadraticNorm(NormSpec, kind="quadratic"):
 
     def values(self, X) -> Vector:
         X = as_rows(X, self.dim)
-        peak, safe = _row_peaks(X)
+        peak, safe = _row_peaks(np.abs(X))
         W = X / safe[:, None]  # scale out before squaring so tiny rows do not underflow
         form = (W[:, None, :] @ self.q @ W[:, :, None])[:, 0, 0]
         return peak * np.sqrt(np.maximum(form, 0.0))
@@ -472,7 +472,18 @@ def classify_point(spec: NormSpec, e0, *, tol: float = CLASSIFY_TOL,
     if not np.any(e0):
         raise ValueError("cannot classify the origin")
     tol = positive_finite(tol, "tol")
-    u = e0 / eval_norm(spec, e0)
+    return _classify(spec, e0, eval_norm(spec, e0), tol, seed)
+
+
+def _classify(spec: NormSpec, e0: Vector, r: float, tol: float, seed: int,
+              fd: GradientFunctional | None = None) -> SmoothnessVerdict:
+    """``classify_point`` at a checked nonzero ``e0`` whose norm is ``r``.
+
+    ``fd`` is the central-difference functional at any positive multiple
+    of e0 (its coefficients have degree 0); without it, it is computed at
+    e0 / |e0|.
+    """
+    u = e0 / r
     n = spec.dim
 
     rng = np.random.default_rng(seed)
@@ -483,7 +494,7 @@ def classify_point(spec: NormSpec, e0, *, tol: float = CLASSIFY_TOL,
         if length > 1e-12:
             directions.append(d / length)
 
-    grad = fd_gradient(spec, u)
+    grad = fd_gradient(spec, u) if fd is None else fd
     worst_violation = -np.inf
     worst = None
     for v in directions:
@@ -498,10 +509,10 @@ def classify_point(spec: NormSpec, e0, *, tol: float = CLASSIFY_TOL,
 
     v, d_plus, d_minus = worst
     if worst_violation <= tol:
-        try:  # prefer the exact closed form; the fd oracle validated it above
-            gradient = analytic_gradient(spec, e0)
-        except NotDifferentiableError:
-            gradient = grad
+        # prefer the exact closed form, at the norm already in hand; the
+        # fd oracle validated it above
+        coeffs, corners = spec._closed_form_rows(e0[None], np.array([r]))
+        gradient = grad if corners[0] else GradientFunctional(coeffs[0])
         return SmoothnessVerdict(smooth=True, gradient=gradient, violation=worst_violation)
     return SmoothnessVerdict(smooth=False,
                              witness_direction=frozen_copy(v),

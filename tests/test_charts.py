@@ -444,10 +444,12 @@ def test_sphere_image_check_circle():
 
 def _off_hyperplane(monkeypatch):
     """Shift every chart image by 1e-6 e0, a ray component of 1e-6 > 1e-9."""
-    def shifted(chart, E):
-        return chart_forward_rows(chart, E) + 1e-6 * chart.frame.base_point
+    forward = charts._forward_rows
 
-    monkeypatch.setattr(charts, "chart_forward_rows", shifted)
+    def shifted(chart, E):
+        return forward(chart, E) + 1e-6 * chart.frame.base_point
+
+    monkeypatch.setattr(charts, "_forward_rows", shifted)
 
 
 def test_sphere_image_check_reports_failures_without_raising(monkeypatch):
@@ -458,6 +460,40 @@ def test_sphere_image_check_reports_failures_without_raising(monkeypatch):
     assert report.failures and report.failures[0]["kind"] == "ray_component"
     assert report.failures[0]["value"] == pytest.approx(1e-6, rel=1e-6)
     assert "point" in report.failures[0]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@given(seed=st.integers(0, 2**32 - 1), offset=st.floats(0.05, 0.3),
+       decade=st.floats(-12.0, 12.0), fraction=st.floats(0.01, 1.0),
+       samples=st.integers(1, 40))
+@settings(max_examples=20, deadline=None)
+def test_image_check_samples_lie_inside_the_domain(family, seed, offset, decade,
+                                                   fraction, samples):
+    # why the image check may skip the domain checks of chart_forward_rows
+    # and chart_inverse_rows: its sphere samples lie within 0.8 and its
+    # tangent targets within 0.4 of the domain radius
+    spec, x = tie_point(family, np.random.default_rng(seed), offset)
+    x = 10.0 ** decade * x
+    chart = build_chart(spec, x, fraction * eval_norm(spec, x))
+    seen = {}
+    forward, inverse = charts._forward_rows, charts._inverse_rows
+
+    def spy_forward(chart, E):
+        seen["forward"] = np.array(E)
+        return forward(chart, E)
+
+    def spy_inverse(chart, C, errors):
+        seen["inverse"] = np.array(C)
+        return inverse(chart, C, errors)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(charts, "_forward_rows", spy_forward)
+        patch.setattr(charts, "_inverse_rows", spy_inverse)
+        sphere_chart_image_check(spec, chart, samples)
+    radius = chart.domain_radius * (1.0 + 1e-12)
+    assert len(seen["forward"]) >= samples and len(seen["inverse"]) >= samples
+    assert spec.values(seen["forward"] - chart.frame.base_point).max() <= 0.8 * radius
+    assert spec.values(seen["inverse"]).max() <= 0.4 * radius
 
 
 def test_sample_design_is_whole_sign_closed_classes(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -472,6 +473,21 @@ def test_out_file_holds_the_report_json(circle_spec, tmp_path):
     request = AnalysisRequest(norm=QuadraticNorm(np.eye(2)), points=[[0.6, 0.8]],
                               commands=("classify",))
     assert out.read_text(encoding="utf-8") == run_request(request)[0].to_json()
+
+
+def test_request_and_report_are_frozen():
+    request = AnalysisRequest(norm=QuadraticNorm(np.eye(2)), points=[[0.6, 0.8]],
+                              commands=["classify"])
+    report, _ = run_request(request)
+    assert isinstance(request.points, tuple) and isinstance(request.commands, tuple)
+    assert isinstance(report.commands, tuple)
+    for obj, name in [(request, "seed"), (request, "points"), (report, "seed"),
+                      (report, "commands")]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, getattr(obj, name))
+    with pytest.raises(AttributeError):
+        request.points.append(np.zeros(2))
+    assert report.to_dict()["commands"] == ["classify"]
 
 
 def test_request_rejects_unknown_command():

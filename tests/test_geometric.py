@@ -346,15 +346,49 @@ def test_roundtrip_classifies_once(monkeypatch, spec, point):
     # the chart's tangent frame classifies the point; the roundtrip reads
     # its verdict instead of classifying a second time
     calls = []
+    classify = charts._classify
 
     def spy(*args, **kwargs):
         calls.append(args)
-        return classify_point(*args, **kwargs)
+        return classify(*args, **kwargs)
 
-    monkeypatch.setattr(charts, "classify_point", spy)
-    monkeypatch.setattr(geometric, "classify_point", spy, raising=False)
+    monkeypatch.setattr(charts, "_classify", spy)
+    monkeypatch.setattr(geometric, "_classify", spy, raising=False)
     equivalence_roundtrip(spec, point)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@given(seed=st.integers(0, 2**32 - 1), corner=st.booleans(),
+       offset=st.floats(0.05, 0.3), decade=st.floats(-12.0, 12.0))
+@settings(max_examples=15, deadline=None)
+def test_roundtrip_shares_the_fd_oracle_and_the_verdict(family, seed, corner, offset, decade):
+    # one fd oracle at e0 serves both routes, and the chart's classifier,
+    # checked against it, gives classify_point's verdict
+    spec, x = tie_point(family, np.random.default_rng(seed), 0.0 if corner else offset)
+    x = 10.0 ** decade * x
+    report = equivalence_roundtrip(spec, x)
+    assert report.smooth == classify_point(spec, x).smooth
+    if report.manifold_flat:
+        assert report.grad_fd.tobytes() == fd_gradient(spec, x).coeffs.tobytes()
+
+
+def test_roundtrip_makes_a_fixed_number_of_norm_evaluations(monkeypatch):
+    # |e0| and the fd oracle once each, 2 for the tangent fit, 12 slope
+    # probes, 4 for the image check's samples and 3 Newton iterations
+    spec = LpNorm(4.0, 3)
+    stacks = []
+    values = LpNorm.values
+
+    def spy(self, X):
+        stacks.append(np.shape(X))
+        return values(self, X)
+
+    monkeypatch.setattr(LpNorm, "values", spy)
+    report = equivalence_roundtrip(spec, [0.3, -0.5, 0.8])
+    assert report.verdict == "consistent"
+    assert len(stacks) == 23
+    assert sum(rows for rows, _ in stacks) == 311
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -511,11 +511,24 @@ def test_classify_evaluates_a_fixed_sequence_of_stacks(family, corner):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(type(spec), "values", spy_values)
-        verdict = classify_point(spec, x)
+        classify_point(spec, x)
     # |x|, then fd_gradient's |u| and 2n shifts, then two slopes along each
-    # of the 2n directions, and the closed form's one row at a smooth point
+    # of the 2n directions; the closed form at a smooth point reuses |x|
     slopes = [(len(DEFAULT_STEP_SEQUENCE) + 1, n)] * (4 * n)
-    assert stacks == [(1, n), (1, n), (2 * n, n)] + slopes + [(1, n)] * verdict.smooth
+    assert stacks == [(1, n), (1, n), (2 * n, n)] + slopes
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@given(seed=st.integers(0, 2**32 - 1), offset=st.floats(0.05, 0.3),
+       decade=st.floats(-12.0, 12.0))
+@settings(max_examples=25, deadline=None)
+def test_smooth_verdict_gradient_is_the_closed_form(family, seed, offset, decade):
+    # the classifier takes the closed form at the norm it already holds
+    spec, x = tie_point(family, np.random.default_rng(seed), offset)
+    x = 10.0 ** decade * x
+    verdict = classify_point(spec, x)
+    assert verdict.smooth
+    assert verdict.gradient.coeffs.tobytes() == analytic_gradient(spec, x).coeffs.tobytes()
 
 
 def test_classify_budget_validation():
