@@ -38,6 +38,18 @@ def euclidean_norm(x, axis: int | None = None):
     return np.ldexp(np.linalg.norm(np.ldexp(x, -exp), axis=axis), np.squeeze(exp, axis))
 
 
+def vector_length(x: Array) -> float:
+    """|x|_2 of one vector: one dot product while the square is in range.
+
+    ``np.vdot`` sets no overflow warning; where the square over- or
+    underflows, ``euclidean_norm`` takes over. Both give the same bits.
+    """
+    length = math.sqrt(np.vdot(x, x))
+    if not 1e-150 <= length <= 1e150:
+        length = float(euclidean_norm(x))
+    return length
+
+
 def tangent_basis(basis, dim: int) -> Array:
     """``basis`` as a read-only (dim - 1, dim) array of orthonormal rows.
 

@@ -154,8 +154,8 @@ def _forward_rows(chart: Chart, E: Array) -> Array:
     """``chart_forward_rows`` at checked rows ``E`` known to lie in the domain."""
     base = chart.frame.base_point
     r = chart.base_norm
-    g = chart.frame.gradient
-    ray = E @ g.coeffs / g.apply(base) - (chart.spec.values(E) - r) / r
+    g = chart.frame.gradient.coeffs
+    ray = E @ g / (g @ base) - (chart.spec.values(E) - r) / r
     return E - ray[:, None] * base
 
 
@@ -198,7 +198,8 @@ def _inverse_rows(chart: Chart, C: Array, errors: list[GeometryError | None]
     k = C.shape[0]
     base = chart.frame.base_point
     r = chart.base_norm
-    target = r * (1.0 + C @ chart.frame.gradient.coeffs / chart.frame.gradient.apply(base))
+    g = chart.frame.gradient.coeffs
+    target = r * (1.0 + C @ g / (g @ base))
     s = np.zeros(k)
     out = np.full_like(C, np.nan)
     out_norms = np.full(k, np.nan)
@@ -207,37 +208,42 @@ def _inverse_rows(chart: Chart, C: Array, errors: list[GeometryError | None]
     for _ in range(_NEWTON_MAX_ITER):
         Ea = (1.0 + s[active])[:, None] * base + C[active]
         finite = np.isfinite(Ea).all(axis=1)
-        for i in active[~finite]:
-            errors[i] = ConvergenceError(
-                "iterate left the admissible region: vector entries must be finite")
-        active, Ea = active[finite], Ea[finite]
+        if not finite.all():
+            for i in active[~finite]:
+                errors[i] = ConvergenceError(
+                    "iterate left the admissible region: vector entries must be finite")
+            active, Ea = active[finite], Ea[finite]
         if not active.size:
             break
         norms = chart.spec.values(Ea)
         f = norms - target[active]
         res = np.abs(f)
+        # a retiring row is better too: no earlier residual of it was this small
         better = res < best_res[active]
-        out[active[better]] = Ea[better]
-        out_norms[active[better]] = norms[better]
-        best_res[active[better]] = res[better]
+        kept = active[better]
+        out[kept] = Ea[better]
+        out_norms[kept] = norms[better]
+        best_res[kept] = res[better]
         done = res <= 1e-12 * r
-        out[active[done]] = Ea[done]
-        out_norms[active[done]] = norms[done]
         active, Ea, norms, f = active[~done], Ea[~done], norms[~done], f[~done]
+        if not active.size:
+            break
         slope = chart.spec._gradient_rows(Ea, norms) @ base
         usable = slope != 0.0
-        for i in active[~usable]:
-            errors[i] = ConvergenceError("newton step failed: zero slope along the ray")
-        active = active[usable]
-        s[active] -= f[usable] / slope[usable]
+        if not usable.all():
+            for i in active[~usable]:
+                errors[i] = ConvergenceError("newton step failed: zero slope along the ray")
+            active, f, slope = active[usable], f[usable], slope[usable]
+        s[active] -= f / slope
     for i in active:  # out of iterations: keep the best iterate if close enough
         if best_res[i] > 1e-10 * r:
             errors[i] = ConvergenceError(
                 f"newton stalled at residual {best_res[i]:.3e}; domain_radius "
                 f"{chart.domain_radius:.3e} is likely too large")
     failed = [i for i, err in enumerate(errors) if err is not None]
-    out[failed] = np.nan
-    out_norms[failed] = np.nan
+    if failed:
+        out[failed] = np.nan
+        out_norms[failed] = np.nan
     return out, out_norms, errors
 
 
@@ -307,8 +313,13 @@ class ChartImageReport:
 def _near_base(spec: NormSpec, chart: Chart, samples: int, fraction: float) -> Array:
     """``sample_design`` points around the base at fraction * domain_radius * U."""
     D, U = sample_design(chart.frame.dim, samples, 0.05)
-    return chart.frame.base_point + D * (fraction * chart.domain_radius * U
-                                         / spec.values(D))[:, None]
+    return chart.frame.base_point + _at_sizes(chart, D, U, spec.values(D), fraction)
+
+
+def _at_sizes(chart: Chart, X: Array, sizes: Array, norms: Array, fraction: float) -> Array:
+    """The rows of ``X``, whose norms are ``norms``, rescaled to norms
+    fraction * domain_radius * sizes."""
+    return X * (fraction * chart.domain_radius * sizes / norms)[:, None]
 
 
 def sphere_chart_image_check(spec: NormSpec, chart: Chart, samples: int) -> ChartImageReport:
@@ -326,7 +337,8 @@ def sphere_chart_image_check(spec: NormSpec, chart: Chart, samples: int) -> Char
     0.4 * domain_radius of a point at that distance from the base, so
     within 0.8 * domain_radius of the base (triangle inequality), and
     every tangent target has norm 0.4 * domain_radius * U with U < 1. The
-    norm defects come from the norms Newton ends at.
+    norm defects come from the norms Newton ends at, and the norms of both
+    passes' design rows are evaluated in one stack.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -334,29 +346,31 @@ def sphere_chart_image_check(spec: NormSpec, chart: Chart, samples: int) -> Char
     r = chart.base_norm
     failures: list[dict] = []
 
-    E = _near_base(spec, chart, samples, 0.4)
+    D, U = sample_design(n, samples, 0.05)
+    # at n = 1 the tangent hyperplane is {0}: there are no tangent targets
+    W, V = sample_design(n - 1, samples, 0.05) if n > 1 else (np.empty((0, 0)), np.empty(0))
+    C = W @ chart.frame.basis
+    design_norms = spec.values(np.concatenate([D, C]))
+
+    E = chart.frame.base_point + _at_sizes(chart, D, U, design_norms[:len(D)], 0.4)
     E *= (r / spec.values(E))[:, None]
     ray = np.abs(_forward_rows(chart, E) @ chart.frame.gradient.coeffs) / r
     for i in np.flatnonzero(ray > _IMAGE_TOL):
         failures.append({"kind": "ray_component", "point": E[i].tolist(),
                          "value": float(ray[i])})
 
-    defect = np.empty(0)
-    if n > 1:
-        W, U = sample_design(n - 1, samples, 0.05)
-        C = W @ chart.frame.basis
-        C *= (0.4 * chart.domain_radius * U / spec.values(C))[:, None]
-        E, norms, errors = _inverse_rows(chart, C, [None] * len(C))
-        failed = np.array([err is not None for err in errors], dtype=bool)
-        defect = np.zeros(len(C))
-        defect[~failed] = np.abs(norms[~failed] - r) / r
-        for i in np.flatnonzero(failed | (defect > _IMAGE_TOL)):
-            if failed[i]:
-                failures.append({"kind": "inverse_convergence",
-                                 "point": C[i].tolist(), "value": str(errors[i])})
-            else:
-                failures.append({"kind": "norm_defect", "point": E[i].tolist(),
-                                 "value": float(defect[i])})
+    C = _at_sizes(chart, C, V, design_norms[len(D):], 0.4)
+    E, norms, errors = _inverse_rows(chart, C, [None] * len(C))
+    failed = np.array([err is not None for err in errors], dtype=bool)
+    defect = np.zeros(len(C))
+    defect[~failed] = np.abs(norms[~failed] - r) / r
+    for i in np.flatnonzero(failed | (defect > _IMAGE_TOL)):
+        if failed[i]:
+            failures.append({"kind": "inverse_convergence",
+                             "point": C[i].tolist(), "value": str(errors[i])})
+        else:
+            failures.append({"kind": "norm_defect", "point": E[i].tolist(),
+                             "value": float(defect[i])})
 
     return ChartImageReport(max_ray_component=float(ray.max(initial=0.0)),
                             max_norm_defect=float(defect.max(initial=0.0)),
@@ -457,11 +471,10 @@ def projection_continuity_probe(spec: NormSpec, e0, deltas=None, *,
     A non-smooth intermediate point raises NotDifferentiableError.
     """
     e0 = as_vector(e0, spec.dim)
-    rng = np.random.default_rng(seed)
     if deltas is None:
         if decades < 1:
             raise ValueError("decades must be >= 1")
-        d = rng.standard_normal(spec.dim)
+        d = np.random.default_rng(seed).standard_normal(spec.dim)
         d /= eval_norm(spec, d)
         r = eval_norm(spec, e0)
         deltas = [d * (r * 10.0 ** (-k)) for k in range(1, decades + 1)]

@@ -17,9 +17,11 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 
 import jsonschema
 import numpy as np
@@ -54,18 +56,23 @@ ANALYTIC_TOL = 1e-6
 
 @dataclass(frozen=True)
 class AnalysisRequest:
-    """Everything one report run depends on; fixing it fixes the output bytes."""
+    """Everything one report run depends on; fixing it fixes the output bytes.
+
+    ``tolerances`` is held as a read-only copy, so the caller's mapping can
+    change afterwards without changing the request.
+    """
 
     norm: NormSpec
     points: tuple
     commands: tuple
-    tolerances: dict = field(default_factory=dict)
+    tolerances: Mapping = field(default_factory=dict)
     seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "points",
                            tuple(as_vector(p, self.norm.dim) for p in self.points))
         object.__setattr__(self, "commands", tuple(self.commands))
+        object.__setattr__(self, "tolerances", MappingProxyType(dict(self.tolerances)))
         unknown = set(self.commands) - set(COMMANDS)
         if unknown:
             raise ValueError(f"unknown commands: {sorted(unknown)}")

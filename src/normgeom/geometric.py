@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (Array, euclidean_norm, frozen_copy, positive_finite,
-                      sample_design, tangent_basis)
+from ._linalg import (Array, frozen_copy, positive_finite, sample_design, tangent_basis,
+                      vector_length)
 from .errors import (DecompositionError, EstimationError, NonManifoldSuspected,
                      NotDifferentiableError)
 from .charts import _build_chart, sphere_chart_image_check
@@ -91,7 +91,7 @@ def _estimate_tangent(spec: NormSpec, e0: Array, r: float,
     X = e0 + D * (sample_radius * sizes / spec.values(D))[:, None]
     diffs = X * (r / spec.values(X))[:, None] - e0
 
-    _, singular, vt = np.linalg.svd(diffs, full_matrices=True)
+    _, singular, vt = np.linalg.svd(diffs, full_matrices=False)
     if singular[n - 2] <= 1e-12 * singular[0]:
         raise EstimationError("sphere samples are degenerate; fit is rank deficient")
     normal = vt[n - 1]
@@ -123,8 +123,8 @@ def _geometric_gradient(tangent: EstimatedTangent, r: float) -> GradientFunction
     e0 = tangent.base_point
     basis = tangent.basis
     w = e0 - basis.T @ (basis @ e0)
-    w_len = euclidean_norm(w)
-    if w_len <= 1e-10 * euclidean_norm(e0):
+    w_len = vector_length(w)
+    if w_len <= 1e-10 * vector_length(e0):
         raise DecompositionError("base point lies in the estimated tangent; "
                                  "the estimation must have failed")
     normal = w / w_len

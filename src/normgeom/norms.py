@@ -14,13 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
-import math
+import random
 from typing import ClassVar, TypeAlias
 
 import numpy as np
 from numpy.typing import NDArray
 
-from ._linalg import euclidean_norm, extrapolate_to_zero, frozen_copy, positive_finite
+from ._linalg import extrapolate_to_zero, frozen_copy, positive_finite, vector_length
 from .errors import NotDifferentiableError
 
 Vector: TypeAlias = NDArray[np.float64]
@@ -39,6 +39,9 @@ CLASSIFY_TOL = 1e-6
 DEFAULT_STEP_SEQUENCE = (1e-3, 1e-4, 1e-5)
 
 _MAX_LP_EXPONENT = 16.0
+
+#: ``fd_gradient``'s default step, relative to the norm of the point: cbrt(eps).
+_FD_STEP = float(np.cbrt(np.finfo(float).eps))
 
 
 def as_vector(x, dim: int | None = None) -> Vector:
@@ -419,13 +422,13 @@ def fd_gradient(spec: NormSpec, e0, step: float | None = None) -> GradientFuncti
 def _fd_gradient(spec: NormSpec, e0: Vector, r: float,
                  step: float | None = None) -> GradientFunctional:
     """``fd_gradient`` at a checked nonzero ``e0`` whose norm is ``r``."""
-    step = float(np.cbrt(np.finfo(float).eps)) * r if step is None else float(step)
+    step = _FD_STEP * r if step is None else float(step)
     if not (0.0 < step < r / 10.0):
         raise ValueError(f"step must lie in (0, {r / 10.0:.3e}), got {step:.3e}")
-    shifts = step * np.eye(e0.size)
+    n = e0.size
+    shifts = step * np.eye(n)
     norms = spec.values(np.concatenate([e0 + shifts, e0 - shifts]))
-    upper, lower = np.split(norms, 2)
-    return GradientFunctional((upper - lower) / (2.0 * step))
+    return GradientFunctional((norms[:n] - norms[n:]) / (2.0 * step))
 
 
 def one_sided_derivative(spec: NormSpec, e0, v) -> float:
@@ -442,11 +445,7 @@ def one_sided_derivative(spec: NormSpec, e0, v) -> float:
         raise ValueError("base point must be nonzero")
     if not np.any(v):
         raise ValueError("direction must be nonzero")
-    # |e0|_2 from one dot product (vdot sets no overflow warning); the
-    # scaled form only where the square over- or underflows
-    scale = math.sqrt(np.vdot(e0, e0))
-    if not 1e-150 <= scale <= 1e150:
-        scale = float(euclidean_norm(e0))
+    scale = vector_length(e0)
     t = np.array([s * scale for s in DEFAULT_STEP_SEQUENCE])
     if t[-1] == 0.0:  # |e0| so far below the least normal float that a step rounds to 0
         raise ValueError("base point is too small for the step grid")
@@ -458,11 +457,13 @@ def classify_point(spec: NormSpec, e0, *, tol: float = CLASSIFY_TOL,
                    seed: int = 0) -> SmoothnessVerdict:
     """Decide whether the norm is differentiable at ``e0`` by probing slopes.
 
-    Probes the n coordinate directions plus n random directions drawn from
-    ``seed``. A point is smooth when, in every probed direction, the two
-    one-sided slopes are negatives of each other and both agree with the
-    central-difference gradient. Otherwise the worst violating direction
-    is returned with its one-sided slopes.
+    Probes the n coordinate directions plus n random directions, each a
+    normalised draw of one ``random.Random(seed).gauss(0.0, 1.0)`` per
+    coordinate; ``seed`` must be a non-negative integer. A point is smooth
+    when, in every probed direction, the two one-sided slopes are
+    negatives of each other and both agree with the central-difference
+    gradient. Otherwise the worst violating direction is returned with its
+    one-sided slopes.
 
     The probes run at u = e0 / |e0|: slopes and the gradient have degree
     0, so the verdict does not depend on the scale of ``e0``. ``tol`` must
@@ -486,10 +487,13 @@ def _classify(spec: NormSpec, e0: Vector, r: float, tol: float, seed: int,
     u = e0 / r
     n = spec.dim
 
-    rng = np.random.default_rng(seed)
-    directions = [np.eye(n)[i] for i in range(n)]
+    # random.Random would read a negative seed as its absolute value
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    rng = random.Random(int(seed))
+    directions = list(np.eye(n))
     while len(directions) < 2 * n:
-        d = rng.standard_normal(n)
+        d = np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
         length = np.linalg.norm(d)
         if length > 1e-12:
             directions.append(d / length)
@@ -501,7 +505,8 @@ def _classify(spec: NormSpec, e0: Vector, r: float, tol: float, seed: int,
         d_plus = one_sided_derivative(spec, u, v)
         d_minus = one_sided_derivative(spec, u, -v)
         gap = d_plus + d_minus  # zero iff the two-sided derivative exists
-        linearity = max(abs(d_plus - grad.apply(v)), abs(d_minus + grad.apply(v)))
+        slope = grad.apply(v)
+        linearity = max(abs(d_plus - slope), abs(d_minus + slope))
         violation = max(abs(gap), linearity)
         if violation > worst_violation:
             worst_violation = violation

@@ -5,7 +5,8 @@ import numpy as np
 from normgeom import (DEFAULT_STEP_SEQUENCE, TIE_REL_TOL, ChartDomainError,
                       ConvergenceError, DecompositionError, L1Norm, LInfNorm, LpNorm,
                       PolyhedralNorm, ProductMaxNorm, QuadraticNorm, product_split)
-from normgeom._linalg import extrapolate_to_zero
+from normgeom._linalg import extrapolate_to_zero, sample_design
+from normgeom.charts import _near_base, chart_forward_rows, chart_inverse_rows
 from normgeom.norms import as_rows
 
 
@@ -143,6 +144,43 @@ def chart_inverse_rows_reference(chart, C):
             errors[i] = ConvergenceError("newton stalled")
     out[[i for i, err in enumerate(errors) if err is not None]] = np.nan
     return out, errors
+
+
+def image_check_reference(spec, chart, samples):
+    """``sphere_chart_image_check`` as (max ray, max defect, failures), from
+    two design-norm stacks.
+
+    The sphere samples come from ``charts._near_base`` and the tangent
+    targets' norms from a ``values`` call of their own; the passes run
+    through the public ``chart_forward_rows`` and ``chart_inverse_rows``,
+    and each defect re-evaluates the norm of its preimage.
+    """
+    n = chart.frame.dim
+    r = chart.base_norm
+    failures = []
+    E = _near_base(spec, chart, samples, 0.4)
+    E = E * (r / spec.values(E))[:, None]
+    ray = np.abs(chart_forward_rows(chart, E) @ chart.frame.gradient.coeffs) / r
+    for i in np.flatnonzero(ray > 1e-9):
+        failures.append({"kind": "ray_component", "point": E[i].tolist(),
+                         "value": float(ray[i])})
+    defect = np.zeros(0)
+    if n > 1:
+        W, U = sample_design(n - 1, samples, 0.05)
+        C = W @ chart.frame.basis
+        C = C * (0.4 * chart.domain_radius * U / spec.values(C))[:, None]
+        back, errors = chart_inverse_rows(chart, C)
+        defect = np.zeros(len(C))
+        for i, err in enumerate(errors):
+            if err is not None:
+                failures.append({"kind": "inverse_convergence", "point": C[i].tolist(),
+                                 "value": str(err)})
+                continue
+            defect[i] = abs(spec.value(back[i]) - r) / r
+            if defect[i] > 1e-9:
+                failures.append({"kind": "norm_defect", "point": back[i].tolist(),
+                                 "value": float(defect[i])})
+    return float(ray.max(initial=0.0)), float(defect.max(initial=0.0)), failures
 
 
 def chart_forward_rows_reference(chart, E):

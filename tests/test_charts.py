@@ -15,7 +15,8 @@ from normgeom import charts
 from normgeom._linalg import orthonormal_complement, sample_design
 from normgeom.charts import chart_forward_rows, chart_inverse_rows
 from helpers import (FAMILIES, chart_forward_rows_reference, chart_inverse_rows_reference,
-                     fd_jacobian, generic_point, smooth_specs, tie_point)
+                     fd_jacobian, generic_point, image_check_reference, smooth_specs,
+                     tie_point)
 
 EUCLID2 = QuadraticNorm(np.eye(2))
 
@@ -531,6 +532,46 @@ def test_sample_design_is_whole_sign_closed_classes(monkeypatch):
     expected = E * (chart.base_norm / spec.values(E))[:, None]
     got = [f["point"] for f in report.failures if f["kind"] == "ray_component"]
     assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@given(seed=st.integers(0, 2**32 - 1), offset=st.floats(0.05, 0.3),
+       decade=st.floats(-12.0, 12.0), samples=st.integers(1, 40))
+@settings(max_examples=20, deadline=None)
+def test_image_check_matches_the_two_stack_reference(family, seed, offset, decade, samples):
+    # one design-norm stack gives the same report, bit for bit, as the
+    # sphere samples and the tangent targets each in a stack of their own
+    spec, x = tie_point(family, np.random.default_rng(seed), offset)
+    chart = build_chart(spec, 10.0 ** decade * x)
+    report = sphere_chart_image_check(spec, chart, samples)
+    ray, defect, failures = image_check_reference(spec, chart, samples)
+    assert report.max_ray_component == ray and report.max_norm_defect == defect
+    assert list(report.failures) == failures
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_image_check_evaluates_the_design_norms_in_one_stack(family):
+    # the norms of the forward directions D and of the tangent targets
+    # W @ basis, then the sphere samples once to scale them and once
+    # forward; every later stack is a Newton iteration
+    spec, x = tie_point(family, np.random.default_rng(7), 0.2)
+    chart = build_chart(spec, x)
+    n = spec.dim
+    D, _ = sample_design(n, 32, 0.05)
+    W, _ = sample_design(n - 1, 32, 0.05)
+    stacks = []
+    values = type(spec).values
+
+    def spy(self, X):
+        stacks.append(np.shape(X))
+        return values(self, X)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(type(spec), "values", spy)
+        assert sphere_chart_image_check(spec, chart, samples=32).passed
+    assert stacks[:3] == [(len(D) + len(W), n), (len(D), n), (len(D), n)]
+    assert stacks[3] == (len(W), n)
+    assert all(rows <= len(W) for rows, _ in stacks[4:])
 
 
 def test_image_check_reports_a_failing_inverse_alone():

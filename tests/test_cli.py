@@ -264,6 +264,44 @@ def test_import_leaves_the_cli_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_verdicts_leave_numpy_random_unloaded(lp4_spec):
+    # the classifier draws from random.Random, so numpy.random stays out of
+    # a process that classifies, round-trips and runs the point commands;
+    # one seed gives the same verdict fields in two processes
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import normgeom as ng\n"
+        "spec = ng.LInfNorm(3)\n"
+        "out = []\n"
+        "for seed, x in enumerate([[1.0, 1.0, 0.3], [1.0, 1.0 - 1e-6, 0.2],\n"
+        "                          [0.9, 0.3, -0.5]]):\n"
+        "    v = ng.classify_point(spec, x, seed=seed)\n"
+        "    witness = None if v.witness_direction is None else v.witness_direction.tolist()\n"
+        "    out.append([v.smooth, v.violation, witness, v.right_deriv, v.left_deriv])\n"
+        "    out.append(ng.equivalence_roundtrip(spec, x, seed=seed).to_dict())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [ng.run_cli([c, sys.argv[1], '--point', '0.3,-0.5,0.8', '--seed', '3'])\n"
+        "             for c in ('classify', 'grad', 'chart', 'roundtrip')]\n"
+        "assert 'numpy.random' not in sys.modules\n"
+        "print(json.dumps([codes, out]))\n")
+    outputs = []
+    for hash_seed in ("0", "1"):
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", code, lp4_spec],
+                              capture_output=True, text=True, timeout=60,
+                              env={**_src_env(), "PYTHONHASHSEED": hash_seed})
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    codes, verdicts = json.loads(outputs[0])
+    assert codes == [0, 0, 0, 0]
+    assert [v[0] for v in verdicts[::2]] == [False, False, True]
+
+
+def test_a_negative_seed_exits_two(lp4_spec, capsys):
+    assert run_cli(["classify", lp4_spec, "--point", "0.3,-0.5,0.8", "--seed", "-1"]) == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+
 def test_one_parser_and_validator_serve_a_process(tmp_path, capsys):
     # the same runs in this process and each in a fresh one: exit codes,
     # output and report bytes agree
@@ -494,6 +532,25 @@ def test_request_rejects_unknown_command():
     spec = QuadraticNorm(np.eye(2))
     with pytest.raises(ValueError):
         AnalysisRequest(norm=spec, points=[[1.0, 0.0]], commands=("fly",))
+
+
+def test_request_holds_a_read_only_copy_of_its_tolerances():
+    # changing the caller's dict afterwards changes neither the request nor
+    # its report; the request's own mapping refuses writes
+    tolerances = {"classify_tol": 1e-6}
+    request = AnalysisRequest(norm=spec_from_dict({"type": "linf", "dim": 2}),
+                              points=[[1.0, 0.5], [1.0, 1.0 - 1e-7]],
+                              commands=("classify",), tolerances=tolerances)
+    before = run_request(request)[0].to_json()
+    tolerances["classify_tol"] = 10.0
+    tolerances["count"] = 5
+    assert run_request(dataclasses.replace(request, tolerances=tolerances))[0].to_json() \
+        != before
+    assert run_request(request)[0].to_json() == before
+    assert dict(request.tolerances) == {"classify_tol": 1e-6}
+    with pytest.raises(TypeError):
+        request.tolerances["classify_tol"] = 1.0
+    assert run_request(request)[0].to_json() == before
 
 
 def test_request_rejects_unknown_tolerance():

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from normgeom import (DEFAULT_STEP_SEQUENCE, L1Norm, LInfNorm, LpNorm,
                       NormSpec, NotDifferentiableError, PolyhedralNorm,
                       ProductMaxNorm, QuadraticNorm, analytic_gradient,
-                      classify_point, eval_norm, fd_gradient, norms,
-                      one_sided_derivative, product_embed,
+                      classify_point, equivalence_roundtrip, eval_norm,
+                      fd_gradient, norms, one_sided_derivative, product_embed,
                       product_norm_constants, product_split, spec_from_dict,
-                      spec_to_dict)
+                      spec_to_dict, tangent_frame)
 from helpers import (BLOCK_MAX, EXTREME_SCALES, FAMILIES, HEXAGON, TIE_FAMILIES,
                      central_diff_gradient, closed_form_reference, corner_rows,
                      generic_point, one_sided_reference, smooth_specs, tie_point,
@@ -534,6 +534,18 @@ def test_smooth_verdict_gradient_is_the_closed_form(family, seed, offset, decade
 def test_classify_budget_validation():
     with pytest.raises(ValueError):
         classify_point(EUCLID2, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_seed_must_be_a_non_negative_integer(seed):
+    # random.Random would read -1 as 1 and hash 1.5; both are refused
+    # wherever the classifier draws its directions
+    for call in (classify_point, tangent_frame, equivalence_roundtrip):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            call(EUCLID2, [0.6, 0.8], seed=seed)
+    x = [1.0, 1.0 - 1e-6, 0.3]
+    assert classify_point(LInfNorm(3), x, seed=np.int64(4)).violation == \
+        classify_point(LInfNorm(3), x, seed=4).violation
 
 
 # ---------------------------------------------------------------- products
