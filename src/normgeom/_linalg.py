@@ -75,8 +75,8 @@ def orthonormal_complement(row: Array) -> Array:
     row = np.asarray(row, dtype=float)
     if row.ndim != 1 or row.size == 0:
         raise ValueError("expected a single nonempty row functional")
-    scale = np.linalg.norm(row)
-    if scale == 0.0 or not np.isfinite(scale):
+    scale = vector_length(row)
+    if scale == 0.0 or not math.isfinite(scale):
         raise ValueError("cannot complete a zero or non-finite row")
     _, _, vt = np.linalg.svd(row.reshape(1, -1))
     return vt[1:]

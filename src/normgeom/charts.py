@@ -15,12 +15,12 @@ the sphere, and the chart derivative at the base point is the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import (Array, euclidean_norm, frozen_copy, oblique_projection,
-                      orthonormal_complement, positive_finite, sample_design,
-                      tangent_basis)
+from ._linalg import (Array, frozen_copy, oblique_projection, orthonormal_complement,
+                      positive_finite, sample_design, tangent_basis, vector_length)
 from .errors import (ChartDomainError, ConvergenceError, DecompositionError,
                      GeometryError, NotDifferentiableError)
 from .norms import (CLASSIFY_TOL, GradientFunctional, NormSpec, _classify, as_rows, as_vector,
@@ -57,10 +57,10 @@ class TangentFrame:
         g = self.gradient.coeffs
         if g.size != n:
             raise ValueError("gradient dimension mismatch")
-        g_len = np.linalg.norm(g)
-        if abs(g @ base) <= 1e-12 * g_len * euclidean_norm(base):
+        g_len = vector_length(g)
+        if abs(g @ base) <= 1e-12 * g_len * vector_length(base):
             raise ValueError("base point lies in the tangent hyperplane")
-        if not np.all(np.abs(basis @ g) <= 1e-9 * g_len):
+        if not (np.abs(basis @ g) <= 1e-9 * g_len).all():
             raise ValueError("basis vector not annihilated by the gradient")
         object.__setattr__(self, "base_point", base)
         object.__setattr__(self, "basis", basis)
@@ -98,7 +98,7 @@ def _tangent_frame(spec: NormSpec, e0: Array, r: float, seed: int,
     ``fd``, the central-difference functional at e0, saves the classifier
     from computing its own.
     """
-    if not np.any(e0):
+    if not e0.any():
         raise ValueError("cannot classify the origin")
     verdict = _classify(spec, e0, r, CLASSIFY_TOL, seed, fd)
     if not verdict.smooth:
@@ -147,16 +147,61 @@ def chart_forward_rows(chart: Chart, E) -> Array:
         raise ChartDomainError(
             f"point at distance {offsets[outside[0]]:.3e} exceeds domain radius "
             f"{chart.domain_radius:.3e}")
-    return _forward_rows(chart, E)
+    return _forward_rows(_stack([chart]), E)
 
 
-def _forward_rows(chart: Chart, E: Array) -> Array:
-    """``chart_forward_rows`` at checked rows ``E`` known to lie in the domain."""
-    base = chart.frame.base_point
-    r = chart.base_norm
-    g = chart.frame.gradient.coeffs
-    ray = E @ g / (g @ base) - (chart.spec.values(E) - r) / r
-    return E - ray[:, None] * base
+class _ChartStack(NamedTuple):
+    """Charts of one norm and dimension, with the per-chart arrays that the
+    stacked cores read: base points, gradient coefficients, base norms,
+    domain radii and each gradient at its base point, g(e0)."""
+
+    charts: list[Chart]
+    bases: Array
+    grads: Array
+    norms: Array
+    radii: Array
+    slopes: Array
+
+
+def _stack(charts: list[Chart]) -> _ChartStack:
+    return _ChartStack(
+        charts, np.array([chart.frame.base_point for chart in charts]),
+        np.array([chart.frame.gradient.coeffs for chart in charts]),
+        np.array([chart.base_norm for chart in charts]),
+        np.array([chart.domain_radius for chart in charts]),
+        np.array([chart.frame.gradient.coeffs @ chart.frame.base_point for chart in charts]))
+
+
+def _each(a: Array, k: int) -> Array:
+    """The per-chart array ``a`` repeated for the ``k`` rows of each chart;
+    one chart's values broadcast over its rows as they are."""
+    return a if len(a) == 1 else np.repeat(a, k, axis=0)
+
+
+def _chart_dots(A: Array, V: Array, cuts: Array | None = None) -> Array:
+    """The products A[cuts[c]:cuts[c + 1]] @ V[c] over every chart c, in
+    order; without ``cuts``, the c-th of len(V) equal blocks of rows.
+
+    One matrix-vector product per chart gives each row the bits it gets
+    among its own chart's rows; a row-wise einsum or (A * B).sum(1) may
+    differ from them in the last bit.
+    """
+    if len(V) == 1:
+        return A @ V[0]
+    if cuts is None:
+        cuts = np.arange(len(V) + 1) * (len(A) // len(V))
+    return np.concatenate([A[lo:hi] @ v for lo, hi, v in zip(cuts[:-1], cuts[1:], V)])
+
+
+def _forward_rows(stack: _ChartStack, E: Array) -> Array:
+    """``chart_forward_rows`` at checked rows ``E`` known to lie in the
+    domain: block c of len(stack.charts) equal blocks under chart c, with
+    one ``values`` call for all rows."""
+    k = len(E) // len(stack.charts)
+    r = _each(stack.norms, k)
+    ray = (_chart_dots(E, stack.grads) / _each(stack.slopes, k)
+           - (stack.charts[0].spec.values(E) - r) / r)
+    return E - ray[:, None] * _each(stack.bases, k)
 
 
 def chart_forward(chart: Chart, e) -> Array:
@@ -182,31 +227,39 @@ def chart_inverse_rows(chart: Chart, C) -> tuple[Array, list[GeometryError | Non
     """
     C = as_rows(C, chart.frame.dim)
     outside = chart.spec.values(C) > chart.domain_radius * (1.0 + _DOMAIN_SLACK)
-    E, _, errors = _inverse_rows(chart, C, [
+    E, _, errors = _inverse_rows(_stack([chart]), C, [
         ChartDomainError("chart coordinates outside the domain radius") if far else None
         for far in outside])
     return E, errors
 
 
-def _inverse_rows(chart: Chart, C: Array, errors: list[GeometryError | None]
+def _inverse_rows(stack: _ChartStack, C: Array, errors: list[GeometryError | None]
                   ) -> tuple[Array, Array, list[GeometryError | None]]:
-    """The Newton iteration of ``chart_inverse_rows`` at checked rows ``C``.
+    """The Newton iteration of ``chart_inverse_rows`` at checked rows ``C``:
+    block c of len(stack.charts) equal blocks under chart c.
 
-    Rows whose ``errors`` entry is set are skipped. Returns the preimages,
-    their norms (both NaN on failed rows) and the updated ``errors``.
+    The rows of all charts iterate in lockstep, with one ``values`` call
+    per iteration; each row's slope is its own chart's product, so a row
+    takes the steps it takes among its chart's rows alone. Rows whose
+    ``errors`` entry is set are skipped. Returns the preimages, their
+    norms (both NaN exactly on the failed rows) and the updated ``errors``.
     """
-    k = C.shape[0]
-    base = chart.frame.base_point
-    r = chart.base_norm
-    g = chart.frame.gradient.coeffs
-    target = r * (1.0 + C @ g / (g @ base))
+    charts, bases = stack.charts, stack.bases
+    spec = charts[0].spec
+    m, k = len(charts), len(C)
+    per = k // m
+    base = _each(bases, per)
+    target = _each(stack.norms, per) * (1.0 + _chart_dots(C, stack.grads)
+                                        / _each(stack.slopes, per))
+    tiny = 1e-12 * _each(stack.norms, per)
     s = np.zeros(k)
     out = np.full_like(C, np.nan)
     out_norms = np.full(k, np.nan)
     best_res = np.full(k, np.inf)
     active = np.flatnonzero([err is None for err in errors])
     for _ in range(_NEWTON_MAX_ITER):
-        Ea = (1.0 + s[active])[:, None] * base + C[active]
+        # every row's iterate, then the active ones: one chart's base broadcasts
+        Ea = ((1.0 + s)[:, None] * base + C)[active]
         finite = np.isfinite(Ea).all(axis=1)
         if not finite.all():
             for i in active[~finite]:
@@ -215,7 +268,7 @@ def _inverse_rows(chart: Chart, C: Array, errors: list[GeometryError | None]
             active, Ea = active[finite], Ea[finite]
         if not active.size:
             break
-        norms = chart.spec.values(Ea)
+        norms = spec.values(Ea)
         f = norms - target[active]
         res = np.abs(f)
         # a retiring row is better too: no earlier residual of it was this small
@@ -224,11 +277,12 @@ def _inverse_rows(chart: Chart, C: Array, errors: list[GeometryError | None]
         out[kept] = Ea[better]
         out_norms[kept] = norms[better]
         best_res[kept] = res[better]
-        done = res <= 1e-12 * r
+        done = res <= (tiny if m == 1 else tiny[active])  # one chart's tiny broadcasts
         active, Ea, norms, f = active[~done], Ea[~done], norms[~done], f[~done]
         if not active.size:
             break
-        slope = chart.spec._gradient_rows(Ea, norms) @ base
+        slope = _chart_dots(spec._gradient_rows(Ea, norms), bases,
+                            None if m == 1 else np.searchsorted(active, np.arange(m + 1) * per))
         usable = slope != 0.0
         if not usable.all():
             for i in active[~usable]:
@@ -236,7 +290,8 @@ def _inverse_rows(chart: Chart, C: Array, errors: list[GeometryError | None]
             active, f, slope = active[usable], f[usable], slope[usable]
         s[active] -= f / slope
     for i in active:  # out of iterations: keep the best iterate if close enough
-        if best_res[i] > 1e-10 * r:
+        chart = charts[i // per]
+        if best_res[i] > 1e-10 * chart.base_norm:
             errors[i] = ConvergenceError(
                 f"newton stalled at residual {best_res[i]:.3e}; domain_radius "
                 f"{chart.domain_radius:.3e} is likely too large")
@@ -313,13 +368,8 @@ class ChartImageReport:
 def _near_base(spec: NormSpec, chart: Chart, samples: int, fraction: float) -> Array:
     """``sample_design`` points around the base at fraction * domain_radius * U."""
     D, U = sample_design(chart.frame.dim, samples, 0.05)
-    return chart.frame.base_point + _at_sizes(chart, D, U, spec.values(D), fraction)
-
-
-def _at_sizes(chart: Chart, X: Array, sizes: Array, norms: Array, fraction: float) -> Array:
-    """The rows of ``X``, whose norms are ``norms``, rescaled to norms
-    fraction * domain_radius * sizes."""
-    return X * (fraction * chart.domain_radius * sizes / norms)[:, None]
+    return chart.frame.base_point + D * (fraction * chart.domain_radius * U
+                                         / spec.values(D))[:, None]
 
 
 def sphere_chart_image_check(spec: NormSpec, chart: Chart, samples: int) -> ChartImageReport:
@@ -340,41 +390,61 @@ def sphere_chart_image_check(spec: NormSpec, chart: Chart, samples: int) -> Char
     norm defects come from the norms Newton ends at, and the norms of both
     passes' design rows are evaluated in one stack.
     """
+    return _image_checks(spec, [chart], samples)[0]
+
+
+def _image_checks(spec: NormSpec, charts: list[Chart], samples: int) -> list[ChartImageReport]:
+    """``sphere_chart_image_check`` on every chart of ``charts``, all of one
+    dimension, with one ``values`` call per stage for all of them: the
+    design norms, the sphere samples, their chart images and each Newton
+    iteration."""
     if samples < 1:
         raise ValueError("samples must be positive")
-    n = chart.frame.dim
-    r = chart.base_norm
-    failures: list[dict] = []
+    stack = _stack(charts)
+    m, n = stack.bases.shape
+    reach = 0.4 * stack.radii
 
     D, U = sample_design(n, samples, 0.05)
     # at n = 1 the tangent hyperplane is {0}: there are no tangent targets
     W, V = sample_design(n - 1, samples, 0.05) if n > 1 else (np.empty((0, 0)), np.empty(0))
-    C = W @ chart.frame.basis
-    design_norms = spec.values(np.concatenate([D, C]))
+    k, kw = len(D), len(W)
+    design = np.concatenate([D, *(W @ chart.frame.basis for chart in charts)])
+    design_norms = spec.values(design)
 
-    E = chart.frame.base_point + _at_sizes(chart, D, U, design_norms[:len(D)], 0.4)
+    sizes = (reach[:, None] * U / design_norms[:k]).ravel()
+    E = _each(stack.bases, k) + (D if m == 1 else np.tile(D, (m, 1))) * sizes[:, None]
+    r = _each(stack.norms, k)
     E *= (r / spec.values(E))[:, None]
-    ray = np.abs(_forward_rows(chart, E) @ chart.frame.gradient.coeffs) / r
-    for i in np.flatnonzero(ray > _IMAGE_TOL):
-        failures.append({"kind": "ray_component", "point": E[i].tolist(),
-                         "value": float(ray[i])})
+    ray = np.abs(_chart_dots(_forward_rows(stack, E), stack.grads)) / r
 
-    C = _at_sizes(chart, C, V, design_norms[len(D):], 0.4)
-    E, norms, errors = _inverse_rows(chart, C, [None] * len(C))
-    failed = np.array([err is not None for err in errors], dtype=bool)
-    defect = np.zeros(len(C))
-    defect[~failed] = np.abs(norms[~failed] - r) / r
-    for i in np.flatnonzero(failed | (defect > _IMAGE_TOL)):
-        if failed[i]:
-            failures.append({"kind": "inverse_convergence",
-                             "point": C[i].tolist(), "value": str(errors[i])})
-        else:
-            failures.append({"kind": "norm_defect", "point": E[i].tolist(),
-                             "value": float(defect[i])})
+    C = design[k:]
+    C *= ((reach[:, None] * V).ravel() / design_norms[k:])[:, None]
+    back, back_norms, errors = _inverse_rows(stack, C, [None] * len(C))
+    r = _each(stack.norms, kw)
+    failed = np.isnan(back_norms)  # exactly the rows with an error
+    defect = np.where(failed, 0.0, np.abs(back_norms - r) / r)
+    bad = failed | (defect > _IMAGE_TOL)
 
-    return ChartImageReport(max_ray_component=float(ray.max(initial=0.0)),
-                            max_norm_defect=float(defect.max(initial=0.0)),
-                            failures=tuple(failures))
+    reports = []
+    for c in range(m):
+        rows, targets = slice(c * k, (c + 1) * k), slice(c * kw, (c + 1) * kw)
+        failures: list[dict] = []
+        for i in np.flatnonzero(ray[rows] > _IMAGE_TOL):
+            i += rows.start
+            failures.append({"kind": "ray_component", "point": E[i].tolist(),
+                             "value": float(ray[i])})
+        for i in np.flatnonzero(bad[targets]):
+            i += targets.start
+            if failed[i]:
+                failures.append({"kind": "inverse_convergence",
+                                 "point": C[i].tolist(), "value": str(errors[i])})
+            else:
+                failures.append({"kind": "norm_defect", "point": back[i].tolist(),
+                                 "value": float(defect[i])})
+        reports.append(ChartImageReport(max_ray_component=float(ray[rows].max(initial=0.0)),
+                                        max_norm_defect=float(defect[targets].max(initial=0.0)),
+                                        failures=tuple(failures)))
+    return reports
 
 
 def scale_chart(chart: Chart, r: float) -> Chart:

@@ -31,7 +31,7 @@ from ._linalg import euclidean_norm, positive_finite
 from .charts import (_near_base, build_chart, chart_forward_rows, chart_inverse_rows,
                      projection_continuity_probe, sphere_chart_image_check)
 from .errors import ChartDomainError, GeometryError, NotDifferentiableError
-from .geometric import equivalence_roundtrip, geometric_check
+from .geometric import _roundtrips, geometric_check
 from .norms import (CLASSIFY_TOL, NormSpec, analytic_gradient, as_vector,
                     classify_point, fd_gradient, spec_from_dict)
 
@@ -260,18 +260,18 @@ def _cmd_probe(request: AnalysisRequest, point, seed: int):
     return result, True, lines
 
 
-def _cmd_roundtrip(request: AnalysisRequest, point, seed: int):
-    report = equivalence_roundtrip(
-        request.norm, point,
-        sample_radius=request.option("sample_radius"),
-        gradient_tol=request.option("grad_tol"), seed=seed)
-    result = report.to_dict()
-    ok = report.verdict == "consistent"
-    kind = "smooth" if report.smooth else "non-smooth"
-    lines = [f"point {_fmt_vec(point)}: {kind}, verdict {report.verdict}"]
-    if report.max_discrepancy is not None:
-        lines.append(f"  gradient discrepancy {report.max_discrepancy:.3e}")
-    return result, ok, lines
+def _cmd_roundtrip(request: AnalysisRequest):
+    """Every point's roundtrip from one stacked call, point i with seed + i."""
+    points = request.points
+    reports = _roundtrips(request.norm, np.array(points),
+                          [request.seed + index for index in range(len(points))],
+                          request.option("sample_radius"), request.option("grad_tol"))
+    for point, report in zip(points, reports):
+        kind = "smooth" if report.smooth else "non-smooth"
+        lines = [f"point {_fmt_vec(point)}: {kind}, verdict {report.verdict}"]
+        if report.max_discrepancy is not None:
+            lines.append(f"  gradient discrepancy {report.max_discrepancy:.3e}")
+        yield report.to_dict(), report.verdict == "consistent", lines
 
 
 def _cmd_sphere_sample(request: AnalysisRequest, seed: int):
@@ -303,11 +303,14 @@ def run_request(request: AnalysisRequest) -> tuple[Report, list[str]]:
             continue
         if not request.points:
             raise ValueError(f"command {command!r} needs at least one point")
-        handler = {"grad": _cmd_grad, "classify": _cmd_classify,
-                   "chart": _cmd_chart, "probe": _cmd_probe,
-                   "roundtrip": _cmd_roundtrip}[command]
-        for index, point in enumerate(request.points):
-            result, ok, text = handler(request, point, request.seed + index)
+        if command == "roundtrip":
+            outputs = _cmd_roundtrip(request)
+        else:
+            handler = {"grad": _cmd_grad, "classify": _cmd_classify,
+                       "chart": _cmd_chart, "probe": _cmd_probe}[command]
+            outputs = (handler(request, point, request.seed + index)
+                       for index, point in enumerate(request.points))
+        for point, (result, ok, text) in zip(request.points, outputs):
             results.append({"point": point.tolist(), "command": command,
                             "result": result})
             all_ok &= ok

@@ -19,8 +19,9 @@ from ._linalg import (Array, frozen_copy, positive_finite, sample_design, tangen
                       vector_length)
 from .errors import (DecompositionError, EstimationError, NonManifoldSuspected,
                      NotDifferentiableError)
-from .charts import _build_chart, sphere_chart_image_check
-from .norms import GradientFunctional, NormSpec, _fd_gradient, as_vector, eval_norm
+from .charts import _build_chart, _image_checks
+from .norms import (GradientFunctional, NormSpec, Rows, Vector, _fd_gradient, _fd_step,
+                    as_vector, eval_norm)
 
 #: Fit residuals above this fraction of the sample radius mean "not flat":
 #: a smooth sphere's residual is o(radius) while a corner's is Theta(radius).
@@ -71,35 +72,58 @@ def estimate_tangent(spec: NormSpec, e0, sample_radius: float) -> EstimatedTange
     and EstimationError when the samples are degenerate.
     """
     e0 = as_vector(e0, spec.dim)
-    return _estimate_tangent(spec, e0, eval_norm(spec, e0), sample_radius)
+    r = eval_norm(spec, e0)
+    radius = _sample_radius(spec, r, sample_radius)
+    (fit,) = _estimate_tangent(spec, e0[None], np.array([r]), np.array([radius]))
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
 
 
-def _estimate_tangent(spec: NormSpec, e0: Array, r: float,
-                      sample_radius: float) -> EstimatedTangent:
-    """``estimate_tangent`` at a checked ``e0`` whose norm is ``r``."""
-    n = spec.dim
-    if n < 2:
+def _sample_radius(spec: NormSpec, r: float, sample_radius) -> float:
+    """``sample_radius`` as a float, checked for a base point whose norm is ``r``."""
+    if spec.dim < 2:
         raise ValueError("tangent estimation needs dimension >= 2")
     if r == 0.0:
         raise ValueError("base point must be nonzero")
     sample_radius = float(sample_radius)
     if not (0.0 < sample_radius <= 0.05 * r):
         raise ValueError(f"sample_radius must lie in (0, {0.05 * r:.3e}]")
+    return sample_radius
 
+
+def _estimate_tangent(spec: NormSpec, P: Rows, r: Vector,
+                      radii: Vector) -> list[EstimatedTangent | Exception]:
+    """``estimate_tangent`` at every checked row of ``P``, whose norms are
+    ``r``, each at its checked sample radius: per row its tangent or the
+    error it raises.
+
+    The design's norms, the samples' norms and the SVDs are one stack each
+    for all rows.
+    """
+    m, n = P.shape
     # sizes in the upper half of the radius keep per-sample evidence strong
     D, sizes = sample_design(n, 6 * n, 0.5)
-    X = e0 + D * (sample_radius * sizes / spec.values(D))[:, None]
-    diffs = X * (r / spec.values(X))[:, None] - e0
+    X = P[:, None] + D * (radii[:, None] * sizes / spec.values(D))[:, :, None]
+    norms = spec.values(X.reshape(-1, n)).reshape(m, len(D))
+    diffs = X * (r[:, None] / norms)[:, :, None] - P[:, None]
 
     _, singular, vt = np.linalg.svd(diffs, full_matrices=False)
-    if singular[n - 2] <= 1e-12 * singular[0]:
-        raise EstimationError("sphere samples are degenerate; fit is rank deficient")
-    normal = vt[n - 1]
-    residual = float(np.max(np.abs(diffs @ normal)))
-    threshold = NON_MANIFOLD_RESIDUAL_FRACTION * sample_radius
-    if residual > threshold:
-        raise NonManifoldSuspected(residual, sample_radius, threshold)
-    return EstimatedTangent(e0, vt[: n - 1], sample_radius, residual)
+    fits: list[EstimatedTangent | Exception] = []
+    for i, radius in enumerate(radii.tolist()):
+        if singular[i, n - 2] <= 1e-12 * singular[i, 0]:
+            fits.append(EstimationError("sphere samples are degenerate; fit is rank deficient"))
+            continue
+        residual = float(np.max(np.abs(diffs[i] @ vt[i, n - 1])))
+        threshold = NON_MANIFOLD_RESIDUAL_FRACTION * radius
+        if residual > threshold:
+            fits.append(NonManifoldSuspected(residual, radius, threshold))
+            continue
+        try:
+            fits.append(EstimatedTangent(P[i], vt[i, : n - 1], radius, residual))
+        except ValueError as exc:
+            fits.append(exc)
+    return fits
 
 
 def geometric_gradient(tangent: EstimatedTangent, spec: NormSpec) -> GradientFunctional:
@@ -182,6 +206,8 @@ def directional_expansion_check(spec: NormSpec, e0, tangent) -> ExpansionReport:
     """
     e0 = as_vector(e0, spec.dim)
     r = eval_norm(spec, e0)
+    if r == 0.0:
+        raise ValueError("base point must be nonzero")
     basis = np.atleast_2d(np.asarray(tangent.basis, dtype=float))
     # scalar powers: an array 10.0 ** k may differ from them in the last bit
     lam = np.array([10.0 ** (-float(k)) for k in _EXPANSION_EXPONENTS])
@@ -248,14 +274,18 @@ def geometric_check(spec: NormSpec, e0, *, sample_radius: float | None = None,
     positive. Without a tangent, fd is not computed.
     """
     e0 = as_vector(e0, spec.dim)
-    return _geometric_check(spec, e0, eval_norm(spec, e0), sample_radius, gradient_tol)
+    r = eval_norm(spec, e0)
+    radius, tol = _fit_settings(spec, r, sample_radius, gradient_tol)
+    checks, error = _geometric_checks(spec, e0[None], np.array([r]), np.array([radius]), [tol])
+    if error is not None:
+        raise error
+    return checks[0]
 
 
-def _geometric_check(spec: NormSpec, e0: Array, r: float, sample_radius: float | None,
-                     gradient_tol: float | None,
-                     fd: GradientFunctional | None = None) -> GeometricCheck:
-    """``geometric_check`` at a checked ``e0`` whose norm is ``r``, against
-    the fd oracle ``fd`` at e0 when given."""
+def _fit_settings(spec: NormSpec, r: float, sample_radius: float | None,
+                  gradient_tol: float | None) -> tuple[float, float]:
+    """``geometric_check``'s sample radius and gradient tolerance at a point
+    whose norm is ``r``, defaulted and checked."""
     if r == 0.0:
         raise ValueError("base point must be nonzero")
     if sample_radius is None:
@@ -264,14 +294,39 @@ def _geometric_check(spec: NormSpec, e0: Array, r: float, sample_radius: float |
         gradient_tol = 10.0 * sample_radius / r
     else:
         gradient_tol = positive_finite(gradient_tol, "gradient_tol")
-    try:
-        tangent = _estimate_tangent(spec, e0, r, sample_radius)
-    except EstimationError as exc:  # NonManifoldSuspected included
-        return GeometricCheck(gradient_tol, exc)
-    grad_geom = _geometric_gradient(tangent, r).coeffs
-    grad_fd = (_fd_gradient(spec, e0, r) if fd is None else fd).coeffs
-    return GeometricCheck(gradient_tol, None, grad_fd, grad_geom,
-                          float(np.max(np.abs(grad_geom - grad_fd))))
+    return _sample_radius(spec, r, sample_radius), gradient_tol
+
+
+def _geometric_checks(spec: NormSpec, P: Rows, r: Vector, radii: Vector, tols: list[float],
+                      fd: list[GradientFunctional] | None = None
+                      ) -> tuple[list[GeometricCheck], Exception | None]:
+    """``geometric_check`` at every checked row of ``P``, whose norms are
+    ``r``, with its checked sample radius and gradient tolerance.
+
+    ``fd`` holds the fd oracle at every row; without it, the oracle is
+    computed at each row that gets a tangent. Returns the checks of the
+    rows before the first row that raises, and that row's error (None when
+    no row raises).
+    """
+    checks: list[GeometricCheck] = []
+    for i, fit in enumerate(_estimate_tangent(spec, P, r, radii)):
+        if isinstance(fit, EstimationError):  # NonManifoldSuspected included
+            checks.append(GeometricCheck(tols[i], fit))
+            continue
+        if not isinstance(fit, EstimatedTangent):  # the tangent's own checks refused it
+            return checks, fit
+        try:
+            grad_geom = _geometric_gradient(fit, r[i]).coeffs
+            if fd is None:
+                steps = np.array([_fd_step(r[i])])
+                grad_fd = frozen_copy(_fd_gradient(spec, P[i:i + 1], steps)[0])
+            else:
+                grad_fd = fd[i].coeffs
+        except (ValueError, DecompositionError) as exc:
+            return checks, exc
+        checks.append(GeometricCheck(tols[i], None, grad_fd, grad_geom,
+                                     float(np.max(np.abs(grad_geom - grad_fd)))))
+    return checks, None
 
 
 def equivalence_roundtrip(spec: NormSpec, e0, *, sample_radius: float | None = None,
@@ -288,30 +343,74 @@ def equivalence_roundtrip(spec: NormSpec, e0, *, sample_radius: float | None = N
     the central-difference oracle there are computed once and passed to
     both routes: the classifier checks its slopes against the oracle,
     and route two compares the rebuilt derivative with it. ``seed`` seeds
-    only the classifier's random directions.
+    only the classifier's random directions. This is the one-point case of
+    the stacked roundtrip that the ``roundtrip`` command runs on a whole
+    points file, with the same bits.
     """
     e0 = as_vector(e0, spec.dim)
-    r = eval_norm(spec, e0)
-    if r == 0.0:
-        raise ValueError("base point must be nonzero")
-    fd = _fd_gradient(spec, e0, r)
-    geo = _geometric_check(spec, e0, r, sample_radius, gradient_tol, fd)
-    smooth = True
-    chart_residual = None
-    chart_ok = False
-    try:
-        chart = _build_chart(spec, e0, r, None, seed, fd)
-        image = sphere_chart_image_check(spec, chart, samples=32)
-        chart_residual = max(image.max_ray_component, image.max_norm_defect)
-        chart_ok = image.passed
-    except NotDifferentiableError:  # the chart's classifier found a corner
-        smooth = False
+    return _roundtrips(spec, e0[None], [seed], sample_radius, gradient_tol)[0]
 
-    flat = geo.error is None
-    consistent = (smooth and flat and chart_ok and geo.discrepancy <= geo.gradient_tol) \
-        or (not smooth and not flat)
-    return RoundtripReport(
-        point=frozen_copy(e0), smooth=smooth, manifold_flat=flat,
-        grad_fd=geo.grad_fd, grad_geom=geo.grad_geom,
-        max_discrepancy=geo.discrepancy, chart_residual=chart_residual,
-        verdict="consistent" if consistent else "violation")
+
+def _roundtrips(spec: NormSpec, P: Rows, seeds: list[int], sample_radius: float | None,
+                gradient_tol: float | None) -> list[RoundtripReport]:
+    """``equivalence_roundtrip`` at every checked row of ``P``, row i with
+    seed ``seeds[i]``.
+
+    Every stage but the classifier makes one ``values`` call for all rows:
+    |e0|, the fd oracle, the tangent fit, and the image check with each of
+    its Newton iterations. The classifier runs per row, in row order. A
+    row that raises drops the rows after it, and its error is raised once
+    every earlier row has passed the classifier: the error that a loop of
+    ``equivalence_roundtrip`` over the rows raises first.
+    """
+    r = spec.values(P)
+    norms = r.tolist()
+    settings, error = [], None
+    for norm in norms:
+        try:
+            if norm == 0.0:
+                raise ValueError("base point must be nonzero")
+            settings.append((_fd_step(norm),
+                             *_fit_settings(spec, norm, sample_radius, gradient_tol)))
+        except ValueError as exc:
+            error = exc
+            break
+    if not settings:
+        raise error
+    steps, radii, tols = zip(*settings)
+    if error is not None:
+        P, r = P[:len(settings)], r[:len(settings)]
+    fd = [GradientFunctional(row) for row in _fd_gradient(spec, P, np.array(steps))]
+    checks, geo_error = _geometric_checks(spec, P, r, np.array(radii), tols, fd)
+    if geo_error is not None:
+        error = geo_error
+
+    charts = []
+    for i, norm in enumerate(norms[:len(checks)]):
+        try:
+            charts.append(_build_chart(spec, P[i], norm, None, seeds[i], fd[i]))
+        except NotDifferentiableError:  # the chart's classifier found a corner
+            charts.append(None)
+    if error is not None:
+        raise error
+
+    built = [chart for chart in charts if chart is not None]
+    images = iter(_image_checks(spec, built, samples=32) if built else ())
+    reports = []
+    for e0, check, chart in zip(P, checks, charts):
+        smooth = chart is not None
+        chart_residual = None
+        chart_ok = False
+        if smooth:
+            image = next(images)
+            chart_residual = max(image.max_ray_component, image.max_norm_defect)
+            chart_ok = image.passed
+        flat = check.error is None
+        consistent = (smooth and flat and chart_ok and check.discrepancy <= check.gradient_tol) \
+            or (not smooth and not flat)
+        reports.append(RoundtripReport(
+            point=frozen_copy(e0), smooth=smooth, manifold_flat=flat,
+            grad_fd=check.grad_fd, grad_geom=check.grad_geom,
+            max_discrepancy=check.discrepancy, chart_residual=chart_residual,
+            verdict="consistent" if consistent else "violation"))
+    return reports

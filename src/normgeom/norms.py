@@ -13,6 +13,7 @@ directional slopes, which exist for every norm by convexity.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+import functools
 from numbers import Integral, Real
 import random
 from typing import ClassVar, TypeAlias
@@ -414,21 +415,38 @@ def fd_gradient(spec: NormSpec, e0, step: float | None = None) -> GradientFuncti
     result against one-sided derivatives (see ``classify_point``).
     """
     e0 = as_vector(e0, spec.dim)
-    if not np.any(e0):
+    if not e0.any():
         raise ValueError("cannot differentiate at the origin")
-    return _fd_gradient(spec, e0, eval_norm(spec, e0), step)
+    steps = np.array([_fd_step(eval_norm(spec, e0), step)])
+    return GradientFunctional(_fd_gradient(spec, e0[None], steps)[0])
 
 
-def _fd_gradient(spec: NormSpec, e0: Vector, r: float,
-                 step: float | None = None) -> GradientFunctional:
-    """``fd_gradient`` at a checked nonzero ``e0`` whose norm is ``r``."""
+def _fd_step(r: float, step: float | None = None) -> float:
+    """``fd_gradient``'s step at a nonzero point whose norm is ``r``, checked."""
     step = _FD_STEP * r if step is None else float(step)
     if not (0.0 < step < r / 10.0):
         raise ValueError(f"step must lie in (0, {r / 10.0:.3e}), got {step:.3e}")
-    n = e0.size
-    shifts = step * np.eye(n)
-    norms = spec.values(np.concatenate([e0 + shifts, e0 - shifts]))
-    return GradientFunctional((norms[:n] - norms[n:]) / (2.0 * step))
+    return step
+
+
+def _fd_gradient(spec: NormSpec, P: Rows, steps: Vector) -> Rows:
+    """``fd_gradient``'s coefficients at every checked nonzero row of ``P``,
+    each with its checked step, from one ``values`` stack of 2n rows per row."""
+    m, n = P.shape
+    X = P[:, None] + steps[:, None, None] * _axis_pairs(n)
+    norms = spec.values(X.reshape(-1, n)).reshape(2, m, n)
+    return (norms[0] - norms[1]) / (2.0 * steps)[:, None]
+
+
+@functools.cache
+def _axis_pairs(n: int) -> NDArray[np.float64]:
+    """The rows of I and of -I in R^n, as one read-only (2, 1, n, n) array.
+
+    p + t * (-e_i) has the bits of p - t * e_i: negation is exact.
+    """
+    pairs = np.eye(n) * np.array([1.0, -1.0])[:, None, None, None]
+    pairs.setflags(write=False)
+    return pairs
 
 
 def one_sided_derivative(spec: NormSpec, e0, v) -> float:

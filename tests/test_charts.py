@@ -447,8 +447,8 @@ def _off_hyperplane(monkeypatch):
     """Shift every chart image by 1e-6 e0, a ray component of 1e-6 > 1e-9."""
     forward = charts._forward_rows
 
-    def shifted(chart, E):
-        return forward(chart, E) + 1e-6 * chart.frame.base_point
+    def shifted(stack, E):
+        return forward(stack, E) + 1e-6 * stack.bases[0]
 
     monkeypatch.setattr(charts, "_forward_rows", shifted)
 
@@ -461,6 +461,31 @@ def test_sphere_image_check_reports_failures_without_raising(monkeypatch):
     assert report.failures and report.failures[0]["kind"] == "ray_component"
     assert report.failures[0]["value"] == pytest.approx(1e-6, rel=1e-6)
     assert "point" in report.failures[0]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@given(seed=st.integers(0, 2**32 - 1), offset=st.floats(0.05, 0.3),
+       draws=st.lists(st.tuples(st.floats(-12.0, 12.0), st.floats(0.01, 8.0)),
+                      min_size=1, max_size=5),
+       samples=st.integers(1, 40))
+@settings(max_examples=10, deadline=None)
+def test_stacked_image_check_equals_the_one_chart_checks(family, seed, offset, draws, samples):
+    # charts at several points and radii, up to 8 |e0|, where Newton and the
+    # forward pass may fail: the stacked check reports every chart as its
+    # own check does, failures and their order included
+    rng = np.random.default_rng(seed)
+    spec, built = None, []
+    for decade, fraction in draws:
+        drawn, x = tie_point(family, rng, offset)
+        spec = spec or drawn  # every chart of the first point's norm
+        x = 10.0 ** decade * x
+        built.append(build_chart(spec, x, fraction * eval_norm(spec, x)))
+    stacked = charts._image_checks(spec, built, samples)
+    for chart, report in zip(built, stacked, strict=True):
+        alone = sphere_chart_image_check(spec, chart, samples)
+        assert (report.max_ray_component, report.max_norm_defect) == \
+            (alone.max_ray_component, alone.max_norm_defect)
+        assert report.failures == alone.failures
 
 
 @pytest.mark.parametrize("family", FAMILIES)

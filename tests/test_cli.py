@@ -1,13 +1,18 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import normgeom
 from normgeom import (AnalysisRequest, QuadraticNorm, emit_plot_data,
@@ -15,7 +20,8 @@ from normgeom import (AnalysisRequest, QuadraticNorm, emit_plot_data,
 from normgeom import cli, errors
 from normgeom.cli import run_cli, validate_report
 from normgeom.geometric import GeometricCheck
-from helpers import EXTREME_SCALES, generic_point, smooth_specs, sphere_sample_reference
+from helpers import (EXTREME_SCALES, FAMILIES, generic_point, smooth_specs,
+                     sphere_sample_reference, tie_point)
 
 
 @pytest.fixture
@@ -139,6 +145,55 @@ def test_roundtrip_mixed_points(square_spec, tmp_path, capsys):
     assert report["summary"]["smooth"] == 2
     assert report["summary"]["non_smooth"] == 1
     assert report["summary"]["all_passed"] is True
+
+
+def _roundtrip_file(folder, spec_file, points, seed):
+    """``run_cli`` roundtrip on a points file: exit code and report results."""
+    points_file, out = folder / "points.json", folder / "report.json"
+    points_file.write_text(json.dumps(points))
+    code = run_cli(["roundtrip", spec_file, "--points-file", str(points_file),
+                    "--seed", str(seed), "--out", str(out)])
+    return code, json.loads(out.read_text())["results"]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@given(seed=st.integers(0, 2**32 - 1), first=st.integers(0, 1000),
+       draws=st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(1e-6, 1e-3),
+                                          st.floats(0.05, 0.3)),
+                                st.floats(-12.0, 12.0)), min_size=1, max_size=9))
+@settings(max_examples=5, deadline=None)
+def test_roundtrip_file_equals_one_point_files(family, seed, first, draws):
+    # the m points of one file go through the roundtrip in one stacked call;
+    # their results are those of m one-point files at seeds first + i
+    rng = np.random.default_rng(seed)
+    spec, points = None, []
+    for offset, decade in draws:
+        drawn, x = tie_point(family, rng, offset)
+        spec = spec or drawn  # every point with the first point's norm
+        points.append((10.0 ** decade * x).tolist())
+    with tempfile.TemporaryDirectory() as folder, \
+            contextlib.redirect_stdout(io.StringIO()):
+        folder = Path(folder)
+        spec_file = folder / "spec.json"
+        spec_file.write_text(json.dumps(spec.to_dict()))
+        code, results = _roundtrip_file(folder, str(spec_file), points, first)
+        alone = [_roundtrip_file(folder, str(spec_file), [x], first + i)
+                 for i, x in enumerate(points)]
+    assert code == max(c for c, _ in alone)
+    assert [json.dumps(r, sort_keys=True) for r in results] == \
+        [json.dumps(r, sort_keys=True) for _, (r,) in alone]
+
+
+def test_roundtrip_stops_at_the_first_failing_point(lp4_spec, tmp_path, capsys):
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps([[0.3, -0.5, 0.8], [0.0, 0.0, 0.0], [0.1, 0.2, 0.3]]))
+    assert run_cli(["roundtrip", lp4_spec, "--points-file", str(points)]) == 2
+    out = capsys.readouterr()
+    assert out.err == "error: base point must be nonzero\n" and out.out == ""
+    # point 0's classifier refuses the seed before point 1's norm is checked
+    assert run_cli(["roundtrip", lp4_spec, "--points-file", str(points), "--seed", "-1"]) == 2
+    out = capsys.readouterr()
+    assert out.err == "error: seed must be a non-negative integer, got -1\n" and out.out == ""
 
 
 def test_roundtrip_forced_violation_exits_one(circle_spec, capsys):

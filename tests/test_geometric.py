@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import json
+import re
 import types
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normgeom import (DecompositionError, EstimatedTangent, L1Norm, LInfNorm,
+from normgeom import (DecompositionError, EstimatedTangent, GeometryError, L1Norm, LInfNorm,
                       LpNorm, NonManifoldSuspected, QuadraticNorm,
                       analytic_gradient, classify_point,
                       directional_expansion_check, equivalence_roundtrip,
@@ -279,6 +281,13 @@ def test_expansion_rows_match_the_scalar_loop(family, seed, corner, decade):
     assert got == expansion_reference(spec, x, basis)
 
 
+def test_expansion_check_rejects_the_origin():
+    # like estimate_tangent and fd_gradient: no 0/0 ratios and no NaN report
+    frame = tangent_frame(EUCLID2, [1.0, 0.0])
+    with pytest.raises(ValueError, match="base point must be nonzero"):
+        directional_expansion_check(EUCLID2, [0.0, 0.0], frame)
+
+
 def test_decaying_refuses_a_ratio_that_grows():
     # a ratio may exceed the one before it by at most 25 % (plus 1e-12)
     assert geometric._decaying([1e-2, 1e-3, 1.2e-3, 1e-5])
@@ -389,6 +398,107 @@ def test_roundtrip_makes_a_fixed_number_of_norm_evaluations(monkeypatch):
     assert report.verdict == "consistent"
     assert len(stacks) == 22
     assert sum(rows for rows, _ in stacks) == 311
+
+
+def _count_stacks(monkeypatch):
+    stacks = []
+    values = LpNorm.values
+
+    def spy(self, X):
+        stacks.append(np.shape(X))
+        return values(self, X)
+
+    monkeypatch.setattr(LpNorm, "values", spy)
+    return stacks
+
+
+def test_stacked_roundtrip_shares_every_stage_but_the_classifier(monkeypatch):
+    # m points: |e0|, the fd oracle, the two tangent-fit stacks, the three
+    # image-check stacks and three Newton iterations once for all, and the
+    # classifier's 12 slopes per point
+    spec = LpNorm(4.0, 3)
+    rng = np.random.default_rng(8)
+    P = np.array([generic_point(rng, 3) for _ in range(8)])
+    stacks = _count_stacks(monkeypatch)
+    reports = geometric._roundtrips(spec, P, list(range(8)), None, None)
+    assert [report.verdict for report in reports] == ["consistent"] * 8
+    assert len(stacks) == 10 + 12 * 8
+    assert sum(rows for rows, _ in stacks) == 2114
+
+
+# offsets from the nearest corner: exact corners, near ties and generic points
+_OFFSETS = st.one_of(st.just(0.0), st.floats(1e-6, 1e-3), st.floats(0.05, 0.3))
+
+
+def _stacked_points(family, seed, draws):
+    """One norm of ``family`` and a point per (offset, decade) draw.
+
+    The quadratic family draws a new matrix with every point, so every
+    point is taken with the first one's norm.
+    """
+    rng = np.random.default_rng(seed)
+    spec, points = None, []
+    for offset, decade in draws:
+        drawn, x = tie_point(family, rng, offset)
+        spec = spec or drawn
+        points.append(10.0 ** decade * x)
+    return spec, np.array(points)
+
+
+def _loop(spec, points, seed, **options):
+    """``equivalence_roundtrip`` over the points, point i with seed + i:
+    the reports' JSON text, or the first error raised."""
+    reports = []
+    for i, x in enumerate(points):
+        try:
+            reports.append(json.dumps(equivalence_roundtrip(spec, x, seed=seed + i,
+                                                            **options).to_dict()))
+        except (ValueError, GeometryError) as exc:
+            return exc
+    return reports
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@given(seed=st.integers(0, 2**32 - 1), first=st.integers(0, 1000),
+       draws=st.lists(st.tuples(_OFFSETS, st.floats(-12.0, 12.0)), min_size=1, max_size=9))
+@settings(max_examples=10, deadline=None)
+def test_stacked_roundtrip_reports_equal_the_one_point_reports(family, seed, first, draws):
+    spec, P = _stacked_points(family, seed, draws)
+    _assert_stacked_equals_the_loop(spec, P, first)
+
+
+def _assert_stacked_equals_the_loop(spec, P, seed, sample_radius=None):
+    expected = _loop(spec, P, seed, sample_radius=sample_radius)
+    seeds = [seed + i for i in range(len(P))]
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=re.escape(str(expected))):
+            geometric._roundtrips(spec, P, seeds, sample_radius, None)
+    else:
+        stacked = geometric._roundtrips(spec, P, seeds, sample_radius, None)
+        assert [json.dumps(report.to_dict()) for report in stacked] == expected
+    return expected
+
+
+def test_stacked_roundtrip_raises_the_first_failing_points_error(monkeypatch):
+    # each stage keeps the rows before its first failing row, so a late
+    # stage's error at a low row beats an early stage's error at a higher
+    # one: the stacked call raises what a loop over the points raises first
+    spec = LpNorm(4.0, 3)
+    P = np.array([[0.3, -0.5, 0.8], [0.5, 0.1, -0.2], [0.0, 0.0, 0.0]])
+    fit = geometric._geometric_gradient
+
+    def fails_at_row_1(tangent, r):
+        if tangent.base_point[0] == 0.5:
+            raise DecompositionError("forced at row 1")
+        return fit(tangent, r)
+
+    monkeypatch.setattr(geometric, "_geometric_gradient", fails_at_row_1)
+    assert "forced at row 1" in str(_assert_stacked_equals_the_loop(spec, P, 0))
+    assert "seed must be a non-negative" in str(_assert_stacked_equals_the_loop(spec, P, -1))
+    # a sample radius that only the smaller point refuses, behind a negative seed
+    P = np.array([[0.3, -0.5, 0.8], [0.03, -0.05, 0.08]])
+    assert "sample_radius must" in str(_assert_stacked_equals_the_loop(spec, P, 0, 0.01))
+    assert "seed must be" in str(_assert_stacked_equals_the_loop(spec, P, -1, 0.01))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
