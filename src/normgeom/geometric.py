@@ -17,7 +17,7 @@ import numpy as np
 
 from ._linalg import (Array, frozen_copy, positive_finite, sample_design, tangent_basis,
                       vector_length)
-from .errors import (DecompositionError, EstimationError, NonManifoldSuspected,
+from .errors import (DecompositionError, EstimationError, GeometryError, NonManifoldSuspected,
                      NotDifferentiableError)
 from .charts import _build_chart, _image_checks
 from .norms import (GradientFunctional, NormSpec, Rows, Vector, _fd_gradient, _fd_step,
@@ -75,7 +75,7 @@ def estimate_tangent(spec: NormSpec, e0, sample_radius: float) -> EstimatedTange
     r = eval_norm(spec, e0)
     radius = _sample_radius(spec, r, sample_radius)
     (fit,) = _estimate_tangent(spec, e0[None], np.array([r]), np.array([radius]))
-    if isinstance(fit, Exception):
+    if isinstance(fit, EstimationError):
         raise fit
     return fit
 
@@ -93,10 +93,11 @@ def _sample_radius(spec: NormSpec, r: float, sample_radius) -> float:
 
 
 def _estimate_tangent(spec: NormSpec, P: Rows, r: Vector,
-                      radii: Vector) -> list[EstimatedTangent | Exception]:
+                      radii: Vector) -> list[EstimatedTangent | EstimationError]:
     """``estimate_tangent`` at every checked row of ``P``, whose norms are
     ``r``, each at its checked sample radius: per row its tangent or the
-    error it raises.
+    EstimationError it raises. Raises the ValueError of a tangent that its
+    own checks refuse.
 
     The design's norms, the samples' norms and the SVDs are one stack each
     for all rows.
@@ -109,20 +110,15 @@ def _estimate_tangent(spec: NormSpec, P: Rows, r: Vector,
     diffs = X * (r[:, None] / norms)[:, :, None] - P[:, None]
 
     _, singular, vt = np.linalg.svd(diffs, full_matrices=False)
-    fits: list[EstimatedTangent | Exception] = []
+    fits: list[EstimatedTangent | EstimationError] = []
     for i, radius in enumerate(radii.tolist()):
         if singular[i, n - 2] <= 1e-12 * singular[i, 0]:
             fits.append(EstimationError("sphere samples are degenerate; fit is rank deficient"))
             continue
         residual = float(np.max(np.abs(diffs[i] @ vt[i, n - 1])))
         threshold = NON_MANIFOLD_RESIDUAL_FRACTION * radius
-        if residual > threshold:
-            fits.append(NonManifoldSuspected(residual, radius, threshold))
-            continue
-        try:
-            fits.append(EstimatedTangent(P[i], vt[i, : n - 1], radius, residual))
-        except ValueError as exc:
-            fits.append(exc)
+        fits.append(NonManifoldSuspected(residual, radius, threshold) if residual > threshold
+                    else EstimatedTangent(P[i], vt[i, : n - 1], radius, residual))
     return fits
 
 
@@ -276,10 +272,7 @@ def geometric_check(spec: NormSpec, e0, *, sample_radius: float | None = None,
     e0 = as_vector(e0, spec.dim)
     r = eval_norm(spec, e0)
     radius, tol = _fit_settings(spec, r, sample_radius, gradient_tol)
-    checks, error = _geometric_checks(spec, e0[None], np.array([r]), np.array([radius]), [tol])
-    if error is not None:
-        raise error
-    return checks[0]
+    return _geometric_checks(spec, e0[None], np.array([r]), np.array([radius]), [tol])[0]
 
 
 def _fit_settings(spec: NormSpec, r: float, sample_radius: float | None,
@@ -298,35 +291,26 @@ def _fit_settings(spec: NormSpec, r: float, sample_radius: float | None,
 
 
 def _geometric_checks(spec: NormSpec, P: Rows, r: Vector, radii: Vector, tols: list[float],
-                      fd: list[GradientFunctional] | None = None
-                      ) -> tuple[list[GeometricCheck], Exception | None]:
+                      fd: list[GradientFunctional] | None = None) -> list[GeometricCheck]:
     """``geometric_check`` at every checked row of ``P``, whose norms are
     ``r``, with its checked sample radius and gradient tolerance.
 
     ``fd`` holds the fd oracle at every row; without it, the oracle is
-    computed at each row that gets a tangent. Returns the checks of the
-    rows before the first row that raises, and that row's error (None when
-    no row raises).
+    computed at each row that gets a tangent.
     """
     checks: list[GeometricCheck] = []
     for i, fit in enumerate(_estimate_tangent(spec, P, r, radii)):
         if isinstance(fit, EstimationError):  # NonManifoldSuspected included
             checks.append(GeometricCheck(tols[i], fit))
             continue
-        if not isinstance(fit, EstimatedTangent):  # the tangent's own checks refused it
-            return checks, fit
-        try:
-            grad_geom = _geometric_gradient(fit, r[i]).coeffs
-            if fd is None:
-                steps = np.array([_fd_step(r[i])])
-                grad_fd = frozen_copy(_fd_gradient(spec, P[i:i + 1], steps)[0])
-            else:
-                grad_fd = fd[i].coeffs
-        except (ValueError, DecompositionError) as exc:
-            return checks, exc
+        grad_geom = _geometric_gradient(fit, r[i]).coeffs
+        if fd is None:
+            grad_fd = frozen_copy(_fd_gradient(spec, P[i:i + 1], np.array([_fd_step(r[i])]))[0])
+        else:
+            grad_fd = fd[i].coeffs
         checks.append(GeometricCheck(tols[i], None, grad_fd, grad_geom,
                                      float(np.max(np.abs(grad_geom - grad_fd)))))
-    return checks, None
+    return checks
 
 
 def equivalence_roundtrip(spec: NormSpec, e0, *, sample_radius: float | None = None,
@@ -358,41 +342,39 @@ def _roundtrips(spec: NormSpec, P: Rows, seeds: list[int], sample_radius: float 
 
     Every stage but the classifier makes one ``values`` call for all rows:
     |e0|, the fd oracle, the tangent fit, and the image check with each of
-    its Newton iterations. The classifier runs per row, in row order. A
-    row that raises drops the rows after it, and its error is raised once
-    every earlier row has passed the classifier: the error that a loop of
-    ``equivalence_roundtrip`` over the rows raises first.
+    its Newton iterations. The classifier runs per row. When a row raises,
+    the rows run again one at a time, so the error raised is the one that
+    a loop of ``equivalence_roundtrip`` over the rows raises first.
     """
+    try:
+        return _roundtrip_stack(spec, P, seeds, sample_radius, gradient_tol)
+    except (ValueError, GeometryError):
+        if len(P) == 1:
+            raise
+    return [_roundtrips(spec, P[i:i + 1], seeds[i:i + 1], sample_radius, gradient_tol)[0]
+            for i in range(len(P))]
+
+
+def _roundtrip_stack(spec: NormSpec, P: Rows, seeds: list[int], sample_radius: float | None,
+                     gradient_tol: float | None) -> list[RoundtripReport]:
+    """``_roundtrips`` in one stack: the first stage that a row fails raises."""
     r = spec.values(P)
     norms = r.tolist()
-    settings, error = [], None
+    settings = []
     for norm in norms:
-        try:
-            if norm == 0.0:
-                raise ValueError("base point must be nonzero")
-            settings.append((_fd_step(norm),
-                             *_fit_settings(spec, norm, sample_radius, gradient_tol)))
-        except ValueError as exc:
-            error = exc
-            break
-    if not settings:
-        raise error
+        if norm == 0.0:
+            raise ValueError("base point must be nonzero")
+        settings.append((_fd_step(norm), *_fit_settings(spec, norm, sample_radius, gradient_tol)))
     steps, radii, tols = zip(*settings)
-    if error is not None:
-        P, r = P[:len(settings)], r[:len(settings)]
     fd = [GradientFunctional(row) for row in _fd_gradient(spec, P, np.array(steps))]
-    checks, geo_error = _geometric_checks(spec, P, r, np.array(radii), tols, fd)
-    if geo_error is not None:
-        error = geo_error
+    checks = _geometric_checks(spec, P, r, np.array(radii), tols, fd)
 
     charts = []
-    for i, norm in enumerate(norms[:len(checks)]):
+    for e0, norm, seed, grad in zip(P, norms, seeds, fd):
         try:
-            charts.append(_build_chart(spec, P[i], norm, None, seeds[i], fd[i]))
+            charts.append(_build_chart(spec, e0, norm, None, seed, grad))
         except NotDifferentiableError:  # the chart's classifier found a corner
             charts.append(None)
-    if error is not None:
-        raise error
 
     built = [chart for chart in charts if chart is not None]
     images = iter(_image_checks(spec, built, samples=32) if built else ())
