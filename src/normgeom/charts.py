@@ -23,8 +23,8 @@ from ._linalg import (Array, frozen_copy, oblique_projection, orthonormal_comple
                       positive_finite, sample_design, tangent_basis, vector_length)
 from .errors import (ChartDomainError, ConvergenceError, DecompositionError,
                      GeometryError, NotDifferentiableError)
-from .norms import (CLASSIFY_TOL, GradientFunctional, NormSpec, _classify, as_rows, as_vector,
-                    eval_norm)
+from .norms import (CLASSIFY_TOL, GradientFunctional, NormSpec, _checked_base, _classify,
+                    as_rows, as_vector, eval_norm)
 
 #: Slack applied to domain-membership checks, relative to the radius.
 _DOMAIN_SLACK = 1e-9
@@ -87,8 +87,7 @@ def tangent_frame(spec: NormSpec, e0, *, seed: int = 0) -> TangentFrame:
     completion of the gradient row, computed by SVD rather than
     elimination so near-axis gradients stay well conditioned.
     """
-    e0 = as_vector(e0, spec.dim)
-    return _tangent_frame(spec, e0, eval_norm(spec, e0), seed)
+    return _tangent_frame(spec, *_checked_base(spec, e0), seed)
 
 
 def _tangent_frame(spec: NormSpec, e0: Array, r: float, seed: int,
@@ -339,8 +338,7 @@ def build_chart(spec: NormSpec, e0, domain_radius: float | None = None, *,
     A row that fails anyway stays visible as its error in
     ``chart_inverse_rows``.
     """
-    e0 = as_vector(e0, spec.dim)
-    return _build_chart(spec, e0, eval_norm(spec, e0), domain_radius, seed)
+    return _build_chart(spec, *_checked_base(spec, e0), domain_radius, seed)
 
 
 def _build_chart(spec: NormSpec, e0: Array, r: float, domain_radius: float | None,

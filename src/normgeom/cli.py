@@ -400,8 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chart", help="build the local chart and check residuals")
     common(p)
-    p.add_argument("--radius", type=float, help="override the chart domain radius")
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--radius", type=float, dest="chart_radius", metavar="RADIUS",
+                   help="override the chart domain radius")
+    p.add_argument("--samples", type=int, dest="chart_samples", metavar="SAMPLES")
 
     p = sub.add_parser("probe", help="projection-continuity convergence table")
     common(p)
@@ -425,14 +426,9 @@ _parser = functools.cache(build_parser)
 
 def _request_from_args(args) -> AnalysisRequest:
     spec = spec_from_dict(json.loads(Path(args.spec).read_text(encoding="utf-8")))
-    tolerances = {}
-    for flag, key in (("sample_radius", "sample_radius"), ("grad_tol", "grad_tol"),
-                      ("classify_tol", "classify_tol"), ("radius", "chart_radius"),
-                      ("samples", "chart_samples"), ("decades", "decades"),
-                      ("count", "count")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            tolerances[key] = value
+    # each option's dest is its ``_DEFAULTS`` key
+    tolerances = {key: getattr(args, key) for key in _DEFAULTS
+                  if getattr(args, key, None) is not None}
     points = [] if args.command == "sphere-sample" else _gather_points(args)
     return AnalysisRequest(norm=spec, points=points, commands=(args.command,),
                            tolerances=tolerances, seed=args.seed)

@@ -12,6 +12,7 @@ side succeeds while the other fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -20,8 +21,8 @@ from ._linalg import (Array, frozen_copy, positive_finite, sample_design, tangen
 from .errors import (DecompositionError, EstimationError, GeometryError, NonManifoldSuspected,
                      NotDifferentiableError)
 from .charts import _build_chart, _image_checks
-from .norms import (GradientFunctional, NormSpec, Rows, Vector, _fd_gradient, _fd_step,
-                    as_vector, eval_norm)
+from .norms import (GradientFunctional, NormSpec, Rows, Vector, _checked_base, _fd_gradient,
+                    _fd_step, as_vector, eval_norm)
 
 #: Fit residuals above this fraction of the sample radius mean "not flat":
 #: a smooth sphere's residual is o(radius) while a corner's is Theta(radius).
@@ -71,8 +72,7 @@ def estimate_tangent(spec: NormSpec, e0, sample_radius: float) -> EstimatedTange
     large a fraction of the radius (corner or edge detected geometrically)
     and EstimationError when the samples are degenerate.
     """
-    e0 = as_vector(e0, spec.dim)
-    r = eval_norm(spec, e0)
+    e0, r = _checked_base(spec, e0)
     radius = _sample_radius(spec, r, sample_radius)
     (fit,) = _estimate_tangent(spec, e0[None], np.array([r]), np.array([radius]))
     if isinstance(fit, EstimationError):
@@ -200,8 +200,7 @@ def directional_expansion_check(spec: NormSpec, e0, tangent) -> ExpansionReport:
 
     Every step of every scale is evaluated in one stack.
     """
-    e0 = as_vector(e0, spec.dim)
-    r = eval_norm(spec, e0)
+    e0, r = _checked_base(spec, e0)
     if r == 0.0:
         raise ValueError("base point must be nonzero")
     basis = np.atleast_2d(np.asarray(tangent.basis, dtype=float))
@@ -269,8 +268,7 @@ def geometric_check(spec: NormSpec, e0, *, sample_radius: float | None = None,
     10 * sample_radius / |e0|. A given ``gradient_tol`` must be finite and
     positive. Without a tangent, fd is not computed.
     """
-    e0 = as_vector(e0, spec.dim)
-    r = eval_norm(spec, e0)
+    e0, r = _checked_base(spec, e0)
     radius, tol = _fit_settings(spec, r, sample_radius, gradient_tol)
     return _geometric_checks(spec, e0[None], np.array([r]), np.array([radius]), [tol])[0]
 
@@ -355,22 +353,40 @@ def _roundtrips(spec: NormSpec, P: Rows, seeds: list[int], sample_radius: float 
             for i in range(len(P))]
 
 
+def _scaled_settings(spec: NormSpec, norm: float, e: int, sample_radius: float | None,
+                     gradient_tol: float | None) -> tuple[float, float, float]:
+    """The fd step, sample radius and gradient tolerance of a row scaled by
+    2**-e, whose norm is ``norm``. A given ``sample_radius`` is checked in
+    the caller's units, at the norm 2**e * norm, and then scaled."""
+    if norm == 0.0:
+        raise ValueError("base point must be nonzero")
+    if sample_radius is not None:
+        with np.errstate(over="ignore"):  # a norm past the float range reads inf
+            radius, _ = _fit_settings(spec, float(np.ldexp(norm, e)), sample_radius, gradient_tol)
+        sample_radius = math.ldexp(radius, -e)
+    return (_fd_step(norm), *_fit_settings(spec, norm, sample_radius, gradient_tol))
+
+
 def _roundtrip_stack(spec: NormSpec, P: Rows, seeds: list[int], sample_radius: float | None,
                      gradient_tol: float | None) -> list[RoundtripReport]:
-    """``_roundtrips`` in one stack: the first stage that a row fails raises."""
-    r = spec.values(P)
+    """``_roundtrips`` in one stack: the first stage that a row fails raises.
+
+    Every stage runs on the rows scaled by the power of two that puts each
+    row's largest |entry| in [0.5, 1). That is exact, and it keeps every
+    norm, step and sample radius clear of over- and underflow; the reports
+    hold the caller's points.
+    """
+    _, exponents = np.frexp(np.abs(P).max(axis=1))
+    S = np.ldexp(P, -exponents[:, None])
+    r = spec.values(S)
     norms = r.tolist()
-    settings = []
-    for norm in norms:
-        if norm == 0.0:
-            raise ValueError("base point must be nonzero")
-        settings.append((_fd_step(norm), *_fit_settings(spec, norm, sample_radius, gradient_tol)))
-    steps, radii, tols = zip(*settings)
-    fd = [GradientFunctional(row) for row in _fd_gradient(spec, P, np.array(steps))]
-    checks = _geometric_checks(spec, P, r, np.array(radii), tols, fd)
+    steps, radii, tols = zip(*(_scaled_settings(spec, norm, e, sample_radius, gradient_tol)
+                               for norm, e in zip(norms, exponents.tolist())))
+    fd = [GradientFunctional(row) for row in _fd_gradient(spec, S, np.array(steps))]
+    checks = _geometric_checks(spec, S, r, np.array(radii), tols, fd)
 
     charts = []
-    for e0, norm, seed, grad in zip(P, norms, seeds, fd):
+    for e0, norm, seed, grad in zip(S, norms, seeds, fd):
         try:
             charts.append(_build_chart(spec, e0, norm, None, seed, grad))
         except NotDifferentiableError:  # the chart's classifier found a corner
@@ -379,7 +395,7 @@ def _roundtrip_stack(spec: NormSpec, P: Rows, seeds: list[int], sample_radius: f
     built = [chart for chart in charts if chart is not None]
     images = iter(_image_checks(spec, built, samples=32) if built else ())
     reports = []
-    for e0, check, chart in zip(P, checks, charts):
+    for x, check, chart in zip(P, checks, charts):
         smooth = chart is not None
         chart_residual = None
         chart_ok = False
@@ -391,7 +407,7 @@ def _roundtrip_stack(spec: NormSpec, P: Rows, seeds: list[int], sample_radius: f
         consistent = (smooth and flat and chart_ok and check.discrepancy <= check.gradient_tol) \
             or (not smooth and not flat)
         reports.append(RoundtripReport(
-            point=frozen_copy(e0), smooth=smooth, manifold_flat=flat,
+            point=frozen_copy(x), smooth=smooth, manifold_flat=flat,
             grad_fd=check.grad_fd, grad_geom=check.grad_geom,
             max_discrepancy=check.discrepancy, chart_residual=chart_residual,
             verdict="consistent" if consistent else "violation"))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 import functools
+import math
 from numbers import Integral, Real
 import random
 from typing import ClassVar, TypeAlias
@@ -123,11 +124,13 @@ class NormSpec:
     def _gradient_rows(self, E: Rows, norms: Vector) -> Rows:
         """``gradient_rows`` at checked nonzero rows ``E`` whose norms are ``norms``.
 
-        The closed form, with the central-difference oracle at corners.
+        The closed form, with the central-difference oracle at corners, all
+        corner rows in one stack.
         """
         coeffs, corners = self._closed_form_rows(E, norms)
-        for i in np.flatnonzero(corners):
-            coeffs[i] = fd_gradient(self, E[i]).coeffs
+        if corners.any():
+            steps = np.array([_fd_step(r) for r in norms[corners].tolist()])
+            coeffs[corners] = _fd_gradient(self, E[corners], steps)
         return coeffs
 
     def to_dict(self) -> dict:
@@ -356,6 +359,20 @@ def eval_norm(spec: NormSpec, x) -> float:
     return spec.value(x)
 
 
+def _checked_base(spec: NormSpec, e0) -> tuple[Vector, float]:
+    """``e0`` checked as a point of ``spec``'s space, and its norm.
+
+    The base-point check of the public entries: raises ValueError when the
+    norm lies beyond the float range.
+    """
+    e0 = as_vector(e0, spec.dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = spec.value(e0)
+    if not math.isfinite(r):
+        raise ValueError("the norm of the base point overflows the float range")
+    return e0, r
+
+
 @dataclass(frozen=True, eq=False)
 class GradientFunctional:
     """A linear functional representing the norm's derivative at a point.
@@ -396,11 +413,10 @@ def analytic_gradient(spec: NormSpec, e0) -> GradientFunctional:
     Raises NotDifferentiableError at corner points (tied max attainers,
     zero coordinates of the l1 norm) and ValueError at the origin.
     """
-    e0 = as_vector(e0, spec.dim)
+    e0, r = _checked_base(spec, e0)
     if not np.any(e0):
         raise ValueError("the norm is not differentiable at the origin")
-    E = e0[None]
-    coeffs, corners = spec._closed_form_rows(E, spec.values(E))
+    coeffs, corners = spec._closed_form_rows(e0[None], np.array([r]))
     if corners[0]:
         raise NotDifferentiableError(f"{type(spec).__name__} has a corner at this point")
     return GradientFunctional(coeffs[0])
@@ -414,10 +430,10 @@ def fd_gradient(spec: NormSpec, e0, step: float | None = None) -> GradientFuncti
     the two one-sided slopes. Callers that need a certificate validate the
     result against one-sided derivatives (see ``classify_point``).
     """
-    e0 = as_vector(e0, spec.dim)
+    e0, r = _checked_base(spec, e0)
     if not e0.any():
         raise ValueError("cannot differentiate at the origin")
-    steps = np.array([_fd_step(eval_norm(spec, e0), step)])
+    steps = np.array([_fd_step(r, step)])
     return GradientFunctional(_fd_gradient(spec, e0[None], steps)[0])
 
 
@@ -487,11 +503,11 @@ def classify_point(spec: NormSpec, e0, *, tol: float = CLASSIFY_TOL,
     0, so the verdict does not depend on the scale of ``e0``. ``tol`` must
     be finite and positive.
     """
-    e0 = as_vector(e0, spec.dim)
+    e0, r = _checked_base(spec, e0)
     if not np.any(e0):
         raise ValueError("cannot classify the origin")
     tol = positive_finite(tol, "tol")
-    return _classify(spec, e0, eval_norm(spec, e0), tol, seed)
+    return _classify(spec, e0, r, tol, seed)
 
 
 def _classify(spec: NormSpec, e0: Vector, r: float, tol: float, seed: int,
