@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normgeom import (Chart, ChartDomainError, ConvergenceError, DecompositionError,
-                      L1Norm, LInfNorm, LpNorm, NotDifferentiableError,
+                      GradientFunctional, L1Norm, LInfNorm, LpNorm, NotDifferentiableError,
                       PolyhedralNorm, ProductMaxNorm, QuadraticNorm, TangentFrame,
                       alpha_operator, analytic_gradient, build_chart, chart_forward,
                       chart_inverse, eval_norm, fd_gradient, projection_continuity_probe,
                       scale_chart, sphere_chart_image_check, tangent_frame)
 from normgeom import charts
-from normgeom._linalg import orthonormal_complement, sample_design
+from normgeom._linalg import oblique_projection, orthonormal_complement, sample_design
 from normgeom.charts import chart_forward_rows, chart_inverse_rows
 from helpers import (FAMILIES, chart_forward_rows_reference, chart_inverse_rows_reference,
                      fd_jacobian, generic_point, image_check_reference, smooth_specs,
@@ -796,3 +796,69 @@ def test_probe_row_serialization():
     assert rows[0].to_dict() == {"delta_norm": rows[0].delta_norm,
                                  "proj_diff_norm": rows[0].proj_diff_norm}
 
+
+
+# ------------------------------------------------------- unreached branches
+
+def test_tangent_frame_refuses_the_origin():
+    with pytest.raises(ValueError, match="^cannot classify the origin$"):
+        tangent_frame(EUCLID2, [0.0, 0.0])
+
+
+def test_newton_reports_an_iterate_that_leaves_the_float_range(monkeypatch):
+    # slopes scaled down to 1e-320 make the first step overflow to an
+    # infinite s; no shipped norm has such slopes
+    spec = LpNorm(4.0, 3)
+    chart = build_chart(spec, [0.3, -0.5, 0.8])
+    rows = LpNorm._gradient_rows
+    monkeypatch.setattr(LpNorm, "_gradient_rows",
+                        lambda self, E, norms: 1e-320 * rows(self, E, norms))
+    with np.errstate(over="ignore"):  # the overflowing step is the point of the test
+        E, errors = chart_inverse_rows(chart, 0.05 * chart.frame.basis)
+    assert [type(err) for err in errors] == [ConvergenceError] * 2
+    assert all(str(err) == "iterate left the admissible region: vector entries must be finite"
+               for err in errors)
+    assert np.isnan(E).all()
+
+
+def test_sphere_image_check_reports_a_norm_defect(monkeypatch):
+    # Newton's preimages put 1e-6 off the sphere: each tangent target is a
+    # norm_defect failure, and no sphere sample fails
+    chart = build_chart(EUCLID2, [1.0, 0.0])
+    inverse = charts._inverse_rows
+
+    def off_sphere(stack, C, errors):
+        back, norms, errors = inverse(stack, C, errors)
+        return back, norms * (1.0 + 1e-6), errors
+
+    monkeypatch.setattr(charts, "_inverse_rows", off_sphere)
+    report = sphere_chart_image_check(EUCLID2, chart, samples=10)
+    assert report.failures and {f["kind"] for f in report.failures} == {"norm_defect"}
+    assert report.max_norm_defect == pytest.approx(1e-6, rel=1e-6)
+    assert all(f["value"] > 1e-9 and len(f["point"]) == 2 for f in report.failures)
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: TangentFrame([1.0, 0.0], [[0.0, 1.0]], GradientFunctional([1.0, 0.0, 0.0])),
+     ValueError, "gradient dimension mismatch"),
+    (lambda: TangentFrame([1.0, 0.0], [[1.0, 0.0]], GradientFunctional([0.0, 1.0])),
+     ValueError, "base point lies in the tangent hyperplane"),
+    (lambda: TangentFrame([1.0, 0.0], np.eye(2), GradientFunctional([1.0, 0.0])),
+     ValueError, r"basis must have shape \(1, 2\)"),
+    (lambda: orthonormal_complement(np.empty(0)), ValueError, "single nonempty row"),
+    (lambda: orthonormal_complement([0.0, 0.0]), ValueError, "zero or non-finite row"),
+    (lambda: oblique_projection([[1.0, 0.0]], [[1.0, 0.0, 0.0]]), ValueError,
+     "different ambient dimensions"),
+    (lambda: alpha_operator([[1.0, 0.0]], [[0.0, 1.0]], [[0.0, 1.0, 0.0]]), DecompositionError,
+     "inconsistent shapes"),
+    (lambda: projection_continuity_probe(EUCLID2, [1.0, 0.0], decades=0), ValueError,
+     "decades must be >= 1"),
+], ids=["gradient-dim", "base-in-hyperplane", "basis-shape", "empty-row", "zero-row",
+        "ambient-dims", "alpha-shapes", "decades"])
+def test_malformed_frames_and_subspaces_are_refused(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+def test_a_frame_in_dimension_one_has_an_empty_tangent_basis():
+    assert tangent_frame(LInfNorm(1), [2.0]).basis.shape == (0, 1)

@@ -516,6 +516,73 @@ def test_request_rejects_a_tolerance_that_is_not_finite_and_positive():
                         commands=("classify",), tolerances={"classify_tol": float("nan")})
 
 
+
+def test_a_points_file_that_is_not_an_array_exits_two(lp4_spec, tmp_path, capsys):
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps({"point": [0.3, -0.5, 0.8]}))
+    assert run_cli(["classify", lp4_spec, "--points-file", str(points)]) == 2
+    out = capsys.readouterr()
+    assert out.err == "error: points file must hold a JSON array of points\n" and out.out == ""
+
+
+@pytest.fixture
+def l1_spec(tmp_path):
+    path = tmp_path / "l1.json"
+    path.write_text(json.dumps({"type": "l1", "dim": 3}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["classify", "grad", "chart"])
+def test_a_norm_past_the_float_range_exits_two(l1_spec, capsys, command):
+    # |x|_1 of 1e308 * (0.8, -0.8, 0.3) overflows; numpy warnings are errors here
+    point = ",".join(repr(v) for v in (1e308 * np.array([0.8, -0.8, 0.3])).tolist())
+    assert run_cli([command, l1_spec, f"--point={point}"]) == 2
+    out = capsys.readouterr()
+    assert out.err == "error: the norm of the base point overflows the float range\n"
+    assert out.out == ""
+
+
+def test_the_roundtrip_command_runs_where_the_norm_overflows(l1_spec, capsys):
+    point = ",".join(repr(v) for v in (1e308 * np.array([0.8, -0.8, 0.3])).tolist())
+    assert run_cli(["roundtrip", l1_spec, f"--point={point}"]) == 0
+    assert "verdict consistent" in capsys.readouterr().out
+
+
+def test_the_chart_command_raises_an_inverse_error_that_is_not_a_domain_error(
+        lp4_spec, monkeypatch, capsys):
+    # no shipped chart stalls on its own samples, so the first row's stall is forced
+    inverse = cli.chart_inverse_rows
+
+    def stalls(chart, C):
+        E, errs = inverse(chart, C)
+        return E, [errors.ConvergenceError("newton stalled (forced)")] + errs[1:]
+
+    monkeypatch.setattr(cli, "chart_inverse_rows", stalls)
+    assert run_cli(["chart", lp4_spec, "--point", "0.3,-0.5,0.8"]) == 1
+    out = capsys.readouterr()
+    assert out.err == "check failure: newton stalled (forced)\n" and out.out == ""
+
+
+#: One option per override: command, flag, ``_DEFAULTS`` key and a value.
+OPTIONS = [
+    ("grad", "--sample-radius", "sample_radius", 1e-4),
+    ("roundtrip", "--grad-tol", "grad_tol", 1e-3),
+    ("classify", "--classify-tol", "classify_tol", 1e-5),
+    ("chart", "--radius", "chart_radius", 0.1),
+    ("chart", "--samples", "chart_samples", 16),
+    ("probe", "--decades", "decades", 2),
+    ("sphere-sample", "--count", "count", 5),
+]
+
+
+@pytest.mark.parametrize("command,flag,key,value", OPTIONS)
+def test_each_option_sets_the_override_of_its_name(lp4_spec, command, flag, key, value):
+    points = [] if command == "sphere-sample" else ["--point", "0.3,-0.5,0.8"]
+    args = cli._parser().parse_args([command, lp4_spec, f"{flag}={value}", *points])
+    assert dict(cli._request_from_args(args).tolerances) == {key: value}
+    assert sorted(key for _, _, key, _ in OPTIONS) == sorted(cli._DEFAULTS)
+
+
 # ----------------------------------------------------------- library surface
 
 def test_run_request_is_deterministic():

@@ -6,11 +6,11 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from normgeom import (DecompositionError, EstimatedTangent, GeometryError, L1Norm, LInfNorm,
-                      LpNorm, NonManifoldSuspected, QuadraticNorm,
+from normgeom import (DecompositionError, EstimatedTangent, EstimationError, GeometryError,
+                      L1Norm, LInfNorm, LpNorm, NonManifoldSuspected, QuadraticNorm,
                       analytic_gradient, classify_point,
                       directional_expansion_check, equivalence_roundtrip,
                       estimate_tangent, eval_norm, fd_gradient,
@@ -565,3 +565,98 @@ def test_corners_fail_both_routes(spec, point):
     assert not classify_point(spec, point).smooth
     with pytest.raises(NonManifoldSuspected):
         estimate_tangent(spec, point, 1e-3 * eval_norm(spec, point))
+
+
+# --------------------------------------------------------------- scale range
+
+#: Five norms and two points whose roundtrip read "violation" at
+#: 10**-318..10**-313, refused a zero fd step below that, or overflowed |e0|
+#: at 10**308, before each row ran at the scale of its largest entry.
+SCALE_NORMS = [LpNorm(4.0, 3), QuadraticNorm(np.diag([2.0, 1.0, 0.5])), LpNorm(1.5, 3),
+               L1Norm(3), LInfNorm(3)]
+SCALE_POINTS = [[0.3, -0.5, 0.8], [0.8, -0.8, 0.3]]
+
+
+@pytest.mark.parametrize("spec", SCALE_NORMS, ids=["lp4", "quadratic", "lp1.5", "l1", "linf"])
+@pytest.mark.parametrize("point", SCALE_POINTS, ids=["a", "b"])
+def test_roundtrip_is_consistent_at_every_decade(spec, point):
+    P = np.array([10.0 ** k * np.array(point) for k in range(-323, 309)])
+    reports = geometric._roundtrips(spec, P, [0] * len(P), None, None)
+    assert [report.verdict for report in reports] == ["consistent"] * len(P)
+    assert len({(report.smooth, report.manifold_flat) for report in reports}) == 1
+    assert [report.point.tobytes() for report in reports] == [x.tobytes() for x in P]
+
+
+def _normal(x):
+    """Whether every nonzero entry of ``x`` is a normal float."""
+    nonzero = np.abs(x[x != 0.0])
+    return bool(((nonzero >= np.finfo(float).tiny) & (nonzero <= np.finfo(float).max)).all())
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@given(seed=st.integers(0, 2**32 - 1), offset=_OFFSETS, decade=st.floats(-300.0, 300.0),
+       data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_roundtrip_report_is_invariant_under_powers_of_two(family, seed, offset, decade, data):
+    spec, x = tie_point(family, np.random.default_rng(seed), offset)
+    x = 10.0 ** decade * x
+    assume(_normal(x))
+    _, exponents = np.frexp(x[x != 0.0])
+    k = data.draw(st.integers(-1021 - int(exponents.min()), 1024 - int(exponents.max())))
+    y = np.ldexp(x, k)
+    assert _normal(y)
+    report, scaled = equivalence_roundtrip(spec, x), equivalence_roundtrip(spec, y)
+    assert scaled.point.tobytes() == y.tobytes()
+    for field in dataclasses.fields(geometric.RoundtripReport):
+        if field.name != "point":
+            a, b = getattr(report, field.name), getattr(scaled, field.name)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
+
+
+# ------------------------------------------------------------- base points
+
+OVERFLOWS = [(L1Norm(3), 1e308 * np.array([0.8, -0.8, 0.3])), (LpNorm(4.0, 3), [1.7e308] * 3)]
+BASE_ENTRIES = {
+    "fd_gradient": fd_gradient,
+    "analytic_gradient": analytic_gradient,
+    "classify_point": classify_point,
+    "tangent_frame": tangent_frame,
+    "build_chart": charts.build_chart,
+    "estimate_tangent": lambda spec, x: estimate_tangent(spec, x, 1.0),
+    "geometric_check": geometric.geometric_check,
+    "directional_expansion_check": lambda spec, x: directional_expansion_check(
+        spec, x, types.SimpleNamespace(basis=np.eye(3)[1:])),
+}
+
+
+@pytest.mark.parametrize("spec,point", OVERFLOWS, ids=["l1", "lp4"])
+@pytest.mark.parametrize("entry", BASE_ENTRIES.values(), ids=BASE_ENTRIES.keys())
+def test_a_norm_past_the_float_range_is_refused_with_one_message(spec, point, entry):
+    # numpy warnings are errors under pytest, so this also shows none escapes
+    with pytest.raises(ValueError, match="^the norm of the base point overflows the float range$"):
+        entry(spec, point)
+
+
+@pytest.mark.parametrize("spec,point", OVERFLOWS, ids=["l1", "lp4"])
+def test_the_roundtrip_runs_where_the_norm_overflows(spec, point):
+    assert equivalence_roundtrip(spec, point).verdict == "consistent"
+
+
+@pytest.mark.parametrize("entry", [
+    lambda: estimate_tangent(EUCLID2, [0.0, 0.0], 1e-3),
+    lambda: geometric.geometric_check(EUCLID2, [0.0, 0.0]),
+], ids=["estimate_tangent", "geometric_check"])
+def test_the_fit_refuses_the_origin(entry):
+    with pytest.raises(ValueError, match="^base point must be nonzero$"):
+        entry()
+
+
+def test_a_degenerate_design_gives_a_rank_deficient_fit(monkeypatch):
+    # every design direction along the base point's axis: all samples land
+    # on one line, so no shipped design reaches this
+    D = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]] * 9)
+    monkeypatch.setattr(geometric, "sample_design", lambda n, rows, low: (D, np.full(18, 0.75)))
+    with pytest.raises(EstimationError, match="degenerate; fit is rank deficient"):
+        estimate_tangent(LpNorm(4.0, 3), [1.0, 0.0, 0.0], 1e-3)
+    check = geometric.geometric_check(LpNorm(4.0, 3), [1.0, 0.0, 0.0])
+    assert type(check.error) is EstimationError and check.grad_fd is None

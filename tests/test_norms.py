@@ -175,6 +175,26 @@ def test_gradient_rows_match_the_pointwise_gradient(spec):
     np.testing.assert_allclose(spec.gradient_rows(E), expected, rtol=1e-14, atol=0.0)
 
 
+def test_gradient_rows_take_every_corner_row_from_one_stack(monkeypatch):
+    # the norms of E, then one stack of 2n shifted rows per corner row; each
+    # corner row has the bits of its one-row fd_gradient
+    spec = LInfNorm(3)
+    E = np.array([[1.0, 1.0, 0.2], [0.3, -0.5, 0.8], [-2.0, 0.5, 2.0], [1e-7, -1e-7, 0.0]])
+    expected = [fd_gradient(spec, e).coeffs if i != 1 else analytic_gradient(spec, e).coeffs
+                for i, e in enumerate(E)]
+    stacks = []
+    values = LInfNorm.values
+
+    def spy(self, X):
+        stacks.append(np.shape(X))
+        return values(self, X)
+
+    monkeypatch.setattr(LInfNorm, "values", spy)
+    G = spec.gradient_rows(E)
+    assert stacks == [(4, 3), (18, 3)]
+    assert [row.tobytes() for row in G] == [row.tobytes() for row in expected]
+
+
 # ------------------------------------------------------------ closed forms
 
 def test_euclid_gradient_is_base_point():
@@ -343,6 +363,11 @@ def test_fd_second_order_convergence(spec, point):
 
 
 # -------------------------------------------------------------- one-sided
+
+def test_one_sided_derivative_refuses_the_origin():
+    with pytest.raises(ValueError, match="^base point must be nonzero$"):
+        one_sided_derivative(EUCLID2, [0.0, 0.0], [1.0, 0.0])
+
 
 def test_one_sided_exact_corner_slopes():
     spec = LInfNorm(2)
@@ -622,6 +647,21 @@ def test_block_constants_max_norm_is_isometric():
 
 
 # ------------------------------------------------------------ construction
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: norms.as_vector(np.empty(0)), "nonempty 1-D vector"),
+    (lambda: LInfNorm(0), "dim must be >= 1"),
+    (lambda: QuadraticNorm([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), "q must be a square matrix"),
+    (lambda: PolyhedralNorm(np.zeros((0, 2))), "nonempty matrix of rows"),
+    (lambda: ProductMaxNorm(EUCLID2, 2), "left and right must be norms"),
+    (lambda: product_norm_constants(EUCLID2, 0), r"left_dim must lie in \(0, 2\)"),
+    (lambda: product_norm_constants(EUCLID2, 1, samples=0), "samples must be positive"),
+], ids=["empty-vector", "dim", "q-shape", "no-functionals", "product-blocks", "left-dim",
+        "samples"])
+def test_malformed_norms_and_arguments_are_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
 
 def test_spec_constructor_validation():
     with pytest.raises(ValueError):
