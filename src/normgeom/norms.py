@@ -367,7 +367,7 @@ def _checked_base(spec: NormSpec, e0) -> tuple[Vector, float]:
     """
     e0 = as_vector(e0, spec.dim)
     with np.errstate(over="ignore", invalid="ignore"):
-        r = spec.value(e0)
+        r = float(spec.values(e0[None])[0])
     if not math.isfinite(r):
         raise ValueError("the norm of the base point overflows the float range")
     return e0, r

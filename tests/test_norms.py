@@ -340,10 +340,11 @@ def test_fd_gradient_evaluates_one_stack(monkeypatch):
     monkeypatch.setattr(LpNorm, "values", spy_values)
     monkeypatch.setattr(LpNorm, "value", spy_value)
     fd_gradient(spec, [0.3, -0.5, 0.8])
-    # one stack of the 2n shifted rows; the one scalar call is the norm
-    # of the point, which sets the step, and is itself a one-row stack
+    # one stack of the 2n shifted rows, after the norm of the point, which
+    # sets the step: a one-row stack of the vector already checked, with no
+    # scalar call to check it again
     assert stacks == [(1, 3), (6, 3)]
-    assert scalars == [(3,)]
+    assert scalars == []
 
 
 @pytest.mark.parametrize("spec,point", [
