@@ -225,7 +225,7 @@ def chart_inverse_rows(chart: Chart, C) -> tuple[Array, list[GeometryError | Non
     preimages, NaN on failed rows, and per row its error or None.
     """
     C = as_rows(C, chart.frame.dim)
-    outside = chart.spec.values(C) > chart.domain_radius * (1.0 + _DOMAIN_SLACK)
+    outside = chart.spec._values(C) > chart.domain_radius * (1.0 + _DOMAIN_SLACK)
     E, _, errors = _inverse_rows(_stack([chart]), C, [
         ChartDomainError("chart coordinates outside the domain radius") if far else None
         for far in outside])
@@ -538,13 +538,12 @@ def projection_continuity_probe(spec: NormSpec, e0, deltas=None, *,
 
     A non-smooth intermediate point raises NotDifferentiableError.
     """
-    e0 = as_vector(e0, spec.dim)
+    e0, r = _checked_base(spec, e0)
     if deltas is None:
         if decades < 1:
             raise ValueError("decades must be >= 1")
         d = np.random.default_rng(seed).standard_normal(spec.dim)
         d /= eval_norm(spec, d)
-        r = eval_norm(spec, e0)
         deltas = [d * (r * 10.0 ** (-k)) for k in range(1, decades + 1)]
     else:
         deltas = [as_vector(d, spec.dim) for d in deltas]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -28,11 +29,11 @@ import numpy as np
 
 from . import __version__
 from ._linalg import euclidean_norm, positive_finite
-from .charts import (_near_base, build_chart, chart_forward_rows, chart_inverse_rows,
+from .charts import (_build_chart, _near_base, chart_forward_rows, chart_inverse_rows,
                      projection_continuity_probe, sphere_chart_image_check)
 from .errors import ChartDomainError, GeometryError, NotDifferentiableError
 from .geometric import _roundtrips, geometric_check
-from .norms import (CLASSIFY_TOL, NormSpec, analytic_gradient, as_vector,
+from .norms import (CLASSIFY_TOL, NormSpec, _scaled_base, analytic_gradient, as_vector,
                     classify_point, fd_gradient, spec_from_dict)
 
 COMMANDS = ("grad", "classify", "chart", "probe", "roundtrip", "sphere-sample")
@@ -212,8 +213,15 @@ def _cmd_classify(request: AnalysisRequest, point, seed: int):
 
 
 def _cmd_chart(request: AnalysisRequest, point, seed: int):
+    # the chart is built and checked at the point scaled by a power of two,
+    # and so is a given radius; every residual is relative, and the radius
+    # is reported in the caller's units
     spec = request.norm
-    chart = build_chart(spec, point, request.option("chart_radius"), seed=seed)
+    base, norm, e, _ = _scaled_base(spec, point)
+    radius = request.option("chart_radius")
+    chart = _build_chart(spec, base, norm, None if radius is None else math.ldexp(radius, -e),
+                         seed)
+    domain_radius = math.ldexp(chart.domain_radius, e)
     samples = int(request.option("chart_samples"))
     image = sphere_chart_image_check(spec, chart, samples=samples)
     r = chart.base_norm
@@ -231,14 +239,14 @@ def _cmd_chart(request: AnalysisRequest, point, seed: int):
     max_round = float(roundtrip.max(initial=0.0))
     left = int(outside.sum())
     ok = image.passed and max_form <= 1e-9 and max_round <= 1e-10 and left == 0
-    result = {"domain_radius": chart.domain_radius,
+    result = {"domain_radius": domain_radius,
               "max_normal_form_residual": max_form,
               "max_roundtrip_residual": max_round,
               "max_ray_component": image.max_ray_component,
               "max_norm_defect": image.max_norm_defect,
               "samples_outside_domain": left,
               "passed": ok}
-    lines = [f"point {_fmt_vec(point)}: chart radius {chart.domain_radius:.6g}",
+    lines = [f"point {_fmt_vec(point)}: chart radius {domain_radius:.6g}",
              f"  normal-form residual {max_form:.3e}, roundtrip {max_round:.3e}",
              f"  sphere image: ray {image.max_ray_component:.3e}, "
              f"defect {image.max_norm_defect:.3e} -> "

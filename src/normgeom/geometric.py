@@ -22,7 +22,7 @@ from .errors import (DecompositionError, EstimationError, GeometryError, NonMani
                      NotDifferentiableError)
 from .charts import _build_chart, _image_checks
 from .norms import (GradientFunctional, NormSpec, Rows, Vector, _checked_base, _fd_gradient,
-                    _fd_step, as_vector, eval_norm)
+                    _fd_step, _scaled_base, _unit_rows, as_vector, eval_norm)
 
 #: Fit residuals above this fraction of the sample radius mean "not flat":
 #: a smooth sphere's residual is o(radius) while a corner's is Theta(radius).
@@ -267,10 +267,19 @@ def geometric_check(spec: NormSpec, e0, *, sample_radius: float | None = None,
     Defaults: ``sample_radius`` = 1e-3 * |e0|, ``gradient_tol`` =
     10 * sample_radius / |e0|. A given ``gradient_tol`` must be finite and
     positive. Without a tangent, fd is not computed.
+
+    Like the roundtrip, the check runs at ``e0`` scaled by a power of two,
+    with a given ``sample_radius`` checked in the caller's units and then
+    scaled; a NonManifoldSuspected reports its lengths in the caller's units.
     """
-    e0, r = _checked_base(spec, e0)
-    radius, tol = _fit_settings(spec, r, sample_radius, gradient_tol)
-    return _geometric_checks(spec, e0[None], np.array([r]), np.array([radius]), [tol])[0]
+    S, norm, e, _ = _scaled_base(spec, e0)
+    _, radius, tol = _scaled_settings(spec, norm, e, sample_radius, gradient_tol)
+    (check,) = _geometric_checks(spec, S[None], np.array([norm]), np.array([radius]), [tol])
+    error = check.error
+    if isinstance(error, NonManifoldSuspected):
+        check = GeometricCheck(tol, NonManifoldSuspected(
+            *(math.ldexp(x, e) for x in (error.residual, error.sample_radius, error.threshold))))
+    return check
 
 
 def _fit_settings(spec: NormSpec, r: float, sample_radius: float | None,
@@ -376,8 +385,7 @@ def _roundtrip_stack(spec: NormSpec, P: Rows, seeds: list[int], sample_radius: f
     norm, step and sample radius clear of over- and underflow; the reports
     hold the caller's points.
     """
-    _, exponents = np.frexp(np.abs(P).max(axis=1))
-    S = np.ldexp(P, -exponents[:, None])
+    S, exponents = _unit_rows(P)
     r = spec.values(S)
     norms = r.tolist()
     steps, radii, tols = zip(*(_scaled_settings(spec, norm, e, sample_radius, gradient_tol)

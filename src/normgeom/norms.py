@@ -1,8 +1,9 @@
 """Norms on R^n: evaluation, derivatives, and smoothness classification.
 
-Each norm family is one value class holding two formulas over a (k, n)
-stack of rows: ``values``, the norm, and ``_closed_form_rows``, the
-closed-form derivative plus a mask of the corner rows. Their one-row
+Each norm family is one value class holding two formulas over a checked
+(k, n) stack of rows: ``_values``, the norm, and ``_closed_form_rows``, the
+closed-form derivative plus a mask of the corner rows. The inherited
+``values`` checks a stack once and evaluates ``_values``. The one-row
 cases are ``value`` and ``analytic_gradient`` (which raises at a corner),
 so scalar and stacked results agree bit for bit. ``gradient_rows`` puts
 the central-difference oracle (``fd_gradient``) in the corner rows.
@@ -51,7 +52,7 @@ def as_vector(x, dim: int | None = None) -> Vector:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a nonempty 1-D vector")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     if dim is not None and v.size != dim:
         raise ValueError(f"expected dimension {dim}, got {v.size}")
@@ -63,7 +64,7 @@ def as_rows(X, dim: int) -> Rows:
     a = np.asarray(X, dtype=float)
     if a.ndim != 2 or a.shape[1] != dim:
         raise ValueError(f"expected a (k, {dim}) stack of vectors, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("vector entries must be finite")
     return a
 
@@ -82,8 +83,9 @@ class NormSpec:
     """A norm on R^n. Each family is one immutable dataclass subclass.
 
     ``class F(NormSpec, kind="f")`` registers F under the JSON type "f";
-    its JSON fields are its dataclass fields. A family writes ``values``
-    and ``_closed_form_rows``; everything else is inherited.
+    its JSON fields are its dataclass fields. A family writes ``_values``
+    and ``_closed_form_rows``; everything else, the checked ``values``
+    included, is inherited.
     """
 
     kind: ClassVar[str]
@@ -97,13 +99,14 @@ class NormSpec:
 
     def value(self, x) -> float:
         """The norm of one vector: the one-row case of ``values``."""
-        return float(self.values(as_vector(x, self.dim)[None])[0])
+        return float(self._values(as_vector(x, self.dim)[None])[0])
 
     def values(self, X) -> Vector:
-        """The norm of every row of a (k, dim) stack, checked once as a whole.
+        """The norm of every row of a (k, dim) stack, checked once as a whole."""
+        return self._values(as_rows(X, self.dim))
 
-        The family's one norm formula.
-        """
+    def _values(self, X: Rows) -> Vector:
+        """The family's one norm formula, at every row of a checked stack ``X``."""
         raise NotImplementedError
 
     def _closed_form_rows(self, E: Rows, norms: Vector) -> tuple[Rows, Mask]:
@@ -119,7 +122,7 @@ class NormSpec:
         E = as_rows(E, self.dim)
         if not np.all(np.any(E, axis=1)):
             raise ValueError("the norm is not differentiable at the origin")
-        return self._gradient_rows(E, self.values(E))
+        return self._gradient_rows(E, self._values(E))
 
     def _gradient_rows(self, E: Rows, norms: Vector) -> Rows:
         """``gradient_rows`` at checked nonzero rows ``E`` whose norms are ``norms``.
@@ -167,7 +170,7 @@ def _real_matrix(value, name: str) -> NDArray[np.float64]:
     if a.dtype.kind not in "iuf":
         raise ValueError(f"{name} must hold numbers")
     a = a.astype(float)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite")
     return a
 
@@ -200,8 +203,8 @@ class LpNorm(NormSpec, kind="lp"):
         object.__setattr__(self, "p", float(self.p))
         _require_dim(self)
 
-    def values(self, X) -> Vector:
-        A = np.abs(as_rows(X, self.dim))
+    def _values(self, X: Rows) -> Vector:
+        A = np.abs(X)
         peak, safe = _row_peaks(A)
         return peak * ((A / safe[:, None]) ** self.p).sum(axis=1) ** (1.0 / self.p)
 
@@ -219,8 +222,8 @@ class L1Norm(NormSpec, kind="l1"):
     def __post_init__(self):
         _require_dim(self)
 
-    def values(self, X) -> Vector:
-        return np.abs(as_rows(X, self.dim)).sum(axis=1)
+    def _values(self, X: Rows) -> Vector:
+        return np.abs(X).sum(axis=1)
 
     def _closed_form_rows(self, E: Rows, norms: Vector) -> tuple[Rows, Mask]:
         # a coordinate below TIE_REL_TOL of the largest counts as zero
@@ -237,8 +240,8 @@ class LInfNorm(NormSpec, kind="linf"):
     def __post_init__(self):
         _require_dim(self)
 
-    def values(self, X) -> Vector:
-        return np.abs(as_rows(X, self.dim)).max(axis=1)
+    def _values(self, X: Rows) -> Vector:
+        return np.abs(X).max(axis=1)
 
     def _closed_form_rows(self, E: Rows, norms: Vector) -> tuple[Rows, Mask]:
         j, sign, corners = _max_attainers(E)
@@ -270,8 +273,7 @@ class QuadraticNorm(NormSpec, kind="quadratic"):
     def dim(self) -> int:
         return self.q.shape[0]
 
-    def values(self, X) -> Vector:
-        X = as_rows(X, self.dim)
+    def _values(self, X: Rows) -> Vector:
         peak, safe = _row_peaks(np.abs(X))
         W = X / safe[:, None]  # scale out before squaring so tiny rows do not underflow
         form = (W[:, None, :] @ self.q @ W[:, :, None])[:, 0, 0]
@@ -305,8 +307,7 @@ class PolyhedralNorm(NormSpec, kind="polyhedral"):
     def dim(self) -> int:
         return self.functionals.shape[1]
 
-    def values(self, X) -> Vector:
-        X = as_rows(X, self.dim)
+    def _values(self, X: Rows) -> Vector:
         return np.abs(self.functionals @ X[:, :, None])[:, :, 0].max(axis=1)
 
     def _closed_form_rows(self, E: Rows, norms: Vector) -> tuple[Rows, Mask]:
@@ -329,16 +330,16 @@ class ProductMaxNorm(NormSpec, kind="product_max"):
     def dim(self) -> int:
         return self.left.dim + self.right.dim
 
-    def values(self, X) -> Vector:
-        X = as_rows(X, self.dim)
-        return np.maximum(self.left.values(X[:, : self.left.dim]),
-                          self.right.values(X[:, self.left.dim:]))
+    def _values(self, X: Rows) -> Vector:
+        # each block is a slice of the stack checked once by ``values``
+        return np.maximum(self.left._values(X[:, : self.left.dim]),
+                          self.right._values(X[:, self.left.dim:]))
 
     def _closed_form_rows(self, E: Rows, norms: Vector) -> tuple[Rows, Mask]:
         # the active block's derivative, zero on the other block; a tie of
         # the block norms is a corner, and so is a corner of the active block
         cut = self.left.dim
-        na, nb = self.left.values(E[:, :cut]), self.right.values(E[:, cut:])
+        na, nb = self.left._values(E[:, :cut]), self.right._values(E[:, cut:])
         corners = np.abs(na - nb) <= TIE_REL_TOL * np.maximum(na, nb)
         coeffs = np.zeros_like(E)
         left = na > nb
@@ -359,6 +360,10 @@ def eval_norm(spec: NormSpec, x) -> float:
     return spec.value(x)
 
 
+#: The refusal of a base point whose norm lies beyond the float range.
+_OVERFLOW = "the norm of the base point overflows the float range"
+
+
 def _checked_base(spec: NormSpec, e0) -> tuple[Vector, float]:
     """``e0`` checked as a point of ``spec``'s space, and its norm.
 
@@ -367,10 +372,40 @@ def _checked_base(spec: NormSpec, e0) -> tuple[Vector, float]:
     """
     e0 = as_vector(e0, spec.dim)
     with np.errstate(over="ignore", invalid="ignore"):
-        r = float(spec.values(e0[None])[0])
+        r = float(spec._values(e0[None])[0])
     if not math.isfinite(r):
-        raise ValueError("the norm of the base point overflows the float range")
+        raise ValueError(_OVERFLOW)
     return e0, r
+
+
+def _unit_rows(P: Rows) -> tuple[Rows, NDArray[np.intc]]:
+    """Each row of ``P`` times the power of two 2**-e that puts its largest
+    |entry| in [0.5, 1), and the exponents e (0 at a zero row).
+
+    The scaling is exact, and so is every family's norm of the scaled rows
+    while their entries stay normal floats: results of degree 0 keep their
+    bits, and norms, steps and radii at the scaled rows stay clear of over-
+    and underflow.
+    """
+    _, exponents = np.frexp(np.abs(P).max(axis=1))
+    return np.ldexp(P, -exponents[:, None]), exponents
+
+
+def _scaled_base(spec: NormSpec, e0) -> tuple[Vector, float, int, float]:
+    """``_checked_base`` at ``e0`` scaled by its power of two (``_unit_rows``).
+
+    Returns the scaled point, its norm, the exponent e and the norm of
+    ``e0`` itself, 2**e times the scaled norm, which raises the same
+    ValueError beyond the float range.
+    """
+    S, exponents = _unit_rows(as_vector(e0, spec.dim)[None])
+    e = int(exponents[0])
+    norm = float(spec._values(S)[0])
+    try:
+        r = math.ldexp(norm, e)
+    except OverflowError:
+        raise ValueError(_OVERFLOW) from None
+    return S[0], norm, e, r
 
 
 @dataclass(frozen=True, eq=False)
@@ -429,12 +464,17 @@ def fd_gradient(spec: NormSpec, e0, step: float | None = None) -> GradientFuncti
     of the point. Carries no smoothness guarantee: at a corner it averages
     the two one-sided slopes. Callers that need a certificate validate the
     result against one-sided derivatives (see ``classify_point``).
+
+    The differences are taken at ``e0`` scaled by a power of two, and so is
+    the step (a given step is checked in the caller's units first): the
+    coefficients have degree 0, so they keep their bits at normal scales
+    and stay accurate at subnormal and huge ones.
     """
-    e0, r = _checked_base(spec, e0)
-    if not e0.any():
+    S, norm, e, r = _scaled_base(spec, e0)
+    if not S.any():
         raise ValueError("cannot differentiate at the origin")
-    steps = np.array([_fd_step(r, step)])
-    return GradientFunctional(_fd_gradient(spec, e0[None], steps)[0])
+    step = _fd_step(norm) if step is None else math.ldexp(_fd_step(r, step), -e)
+    return GradientFunctional(_fd_gradient(spec, S[None], np.array([step]))[0])
 
 
 def _fd_step(r: float, step: float | None = None) -> float:

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -385,13 +386,13 @@ def test_lockstep_newton_evaluates_each_iterate_once(monkeypatch, spec, point):
     chart = build_chart(spec, point)
     C = _boundary_targets(chart, np.random.default_rng(7), 6)
     calls = []
-    values = type(spec).values
+    values = type(spec)._values
 
     def spy(self, X):
         calls.append(np.array(X))
         return values(self, X)
 
-    monkeypatch.setattr(type(spec), "values", spy)
+    monkeypatch.setattr(type(spec), "_values", spy)
     chart_inverse_rows(chart, C)
     assert np.array_equal(calls[0], C)  # the domain check
     assert np.array_equal(calls[1], chart.frame.base_point + C)  # the first iterate
@@ -585,14 +586,14 @@ def test_image_check_evaluates_the_design_norms_in_one_stack(family):
     D, _ = sample_design(n, 32, 0.05)
     W, _ = sample_design(n - 1, 32, 0.05)
     stacks = []
-    values = type(spec).values
+    values = type(spec)._values
 
     def spy(self, X):
         stacks.append(np.shape(X))
         return values(self, X)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(type(spec), "values", spy)
+        patch.setattr(type(spec), "_values", spy)
         assert sphere_chart_image_check(spec, chart, samples=32).passed
     assert stacks[:3] == [(len(D) + len(W), n), (len(D), n), (len(D), n)]
     assert stacks[3] == (len(W), n)
@@ -774,6 +775,16 @@ def test_probe_across_corner_does_not_converge():
 def test_probe_propagates_corner_classification():
     with pytest.raises(NotDifferentiableError):
         projection_continuity_probe(LInfNorm(2), [1.0, 0.5], [[0.0, 0.5]])
+
+
+def test_probe_refuses_a_norm_past_the_float_range():
+    # the default deltas scale with |e0|, which once overflowed to inf with
+    # a RuntimeWarning and then failed the deltas' finiteness check
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match="^the norm of the base point overflows the float range$"):
+            projection_continuity_probe(L1Norm(3), 1e308 * np.array([0.8, -0.8, 0.3]))
 
 
 def test_probe_requires_decreasing_deltas():

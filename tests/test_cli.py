@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,13 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import normgeom
-from normgeom import (AnalysisRequest, QuadraticNorm, emit_plot_data,
+from normgeom import (AnalysisRequest, LpNorm, QuadraticNorm, emit_plot_data,
                       run_request, spec_from_dict)
 from normgeom import cli, errors
 from normgeom.cli import run_cli, validate_report
 from normgeom.geometric import GeometricCheck
 from helpers import (EXTREME_SCALES, FAMILIES, generic_point, smooth_specs,
-                     sphere_sample_reference, tie_point)
+                     sphere_sample_reference, tie_point, to_unit_size)
 
 
 @pytest.fixture
@@ -532,7 +533,7 @@ def l1_spec(tmp_path):
     return str(path)
 
 
-@pytest.mark.parametrize("command", ["classify", "grad", "chart"])
+@pytest.mark.parametrize("command", ["classify", "grad", "chart", "probe"])
 def test_a_norm_past_the_float_range_exits_two(l1_spec, capsys, command):
     # |x|_1 of 1e308 * (0.8, -0.8, 0.3) overflows; numpy warnings are errors here
     point = ",".join(repr(v) for v in (1e308 * np.array([0.8, -0.8, 0.3])).tolist())
@@ -540,6 +541,44 @@ def test_a_norm_past_the_float_range_exits_two(l1_spec, capsys, command):
     out = capsys.readouterr()
     assert out.err == "error: the norm of the base point overflows the float range\n"
     assert out.out == ""
+
+
+def _one_result(command, spec_file, point, out, *options):
+    arg = "--point=" + ",".join(repr(v) for v in np.asarray(point).tolist())
+    assert run_cli([command, spec_file, arg, "--out", str(out), *options]) == 0
+    return json.loads(out.read_text())["results"][0]["result"]
+
+
+@pytest.mark.parametrize("t", [1e-317, 1.0, 1e300])
+def test_grad_and_chart_pass_at_every_scale(lp4_spec, tmp_path, t):
+    # both run at the point brought to unit size by a power of two; at
+    # 1e-317 grad once read an fd gap of 2.2e-3 and chart a Newton stall
+    x = np.array([3.0, -5.0, 8.0])
+    y = t * x
+    assert _one_result("grad", lp4_spec, x, tmp_path / "grad1.json")["smooth"]
+    grad = _one_result("grad", lp4_spec, y, tmp_path / "grad.json")
+    assert grad["smooth"] and grad["max_discrepancy"] <= 1e-5
+    chart = _one_result("chart", lp4_spec, y, tmp_path / "chart.json")
+    assert chart["passed"]
+    e = int(np.frexp(np.abs(y).max())[1])
+    unit_radius = 0.25 * LpNorm(4.0, 3).value(to_unit_size(y))
+    assert chart["domain_radius"] == math.ldexp(unit_radius, e)
+
+
+@pytest.mark.parametrize("k", [-900, -1, 0, 5, 900])
+def test_grad_and_chart_reports_keep_their_bits_under_powers_of_two(lp4_spec, tmp_path, k):
+    # every result but the chart's radius has degree 0; the radius, given
+    # or not, is stated in the caller's units
+    x = np.array([0.3, -0.5, 0.8])
+    for command, flag, length in (("grad", None, None), ("chart", None, None),
+                                  ("chart", "--radius", 0.01), ("grad", "--sample-radius", 1e-4)):
+        unit = [] if flag is None else [f"{flag}={length!r}"]
+        scaled = [] if flag is None else [f"{flag}={math.ldexp(length, k)!r}"]
+        want = _one_result(command, lp4_spec, x, tmp_path / "unit.json", *unit)
+        got = _one_result(command, lp4_spec, np.ldexp(x, k), tmp_path / "scaled.json", *scaled)
+        if command == "chart":
+            assert got.pop("domain_radius") == math.ldexp(want.pop("domain_radius"), k)
+        assert got == want, (command, flag)
 
 
 def test_the_roundtrip_command_runs_where_the_norm_overflows(l1_spec, capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import re
 import types
 
@@ -18,7 +19,7 @@ from normgeom import (DecompositionError, EstimatedTangent, EstimationError, Geo
 from normgeom import charts, geometric
 from helpers import (EXTREME_SCALES, FAMILIES, central_diff_gradient, expansion_reference,
                      generic_point, geometric_gradient_coeffs_reference, smooth_specs,
-                     spd_matrix, tie_point)
+                     spd_matrix, tie_point, to_unit_size)
 
 EUCLID2 = QuadraticNorm(np.eye(2))
 
@@ -387,13 +388,13 @@ def test_roundtrip_makes_a_fixed_number_of_norm_evaluations(monkeypatch):
     # probes, 3 for the image check's samples and 3 Newton iterations
     spec = LpNorm(4.0, 3)
     stacks = []
-    values = LpNorm.values
+    values = LpNorm._values
 
     def spy(self, X):
         stacks.append(np.shape(X))
         return values(self, X)
 
-    monkeypatch.setattr(LpNorm, "values", spy)
+    monkeypatch.setattr(LpNorm, "_values", spy)
     report = equivalence_roundtrip(spec, [0.3, -0.5, 0.8])
     assert report.verdict == "consistent"
     assert len(stacks) == 22
@@ -402,13 +403,13 @@ def test_roundtrip_makes_a_fixed_number_of_norm_evaluations(monkeypatch):
 
 def _count_stacks(monkeypatch):
     stacks = []
-    values = LpNorm.values
+    values = LpNorm._values
 
     def spy(self, X):
         stacks.append(np.shape(X))
         return values(self, X)
 
-    monkeypatch.setattr(LpNorm, "values", spy)
+    monkeypatch.setattr(LpNorm, "_values", spy)
     return stacks
 
 
@@ -626,6 +627,7 @@ BASE_ENTRIES = {
     "geometric_check": geometric.geometric_check,
     "directional_expansion_check": lambda spec, x: directional_expansion_check(
         spec, x, types.SimpleNamespace(basis=np.eye(3)[1:])),
+    "projection_continuity_probe": charts.projection_continuity_probe,
 }
 
 
@@ -640,6 +642,41 @@ def test_a_norm_past_the_float_range_is_refused_with_one_message(spec, point, en
 @pytest.mark.parametrize("spec,point", OVERFLOWS, ids=["l1", "lp4"])
 def test_the_roundtrip_runs_where_the_norm_overflows(spec, point):
     assert equivalence_roundtrip(spec, point).verdict == "consistent"
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("t", [1e-317, 1e-300, 1e-150, 1.0, 1e150, 1e300])
+def test_geometric_check_runs_at_unit_size(family, t):
+    # the fit and the fd oracle run at the point brought to unit size by a
+    # power of two: the gradients and the discrepancy have degree 0, and a
+    # corner's NonManifoldSuspected states its lengths in the caller's units
+    rng = np.random.default_rng(23)
+    for offset in (0.0, 0.2):
+        spec, x = tie_point(family, rng, offset)
+        y = t * x
+        e = int(np.frexp(np.abs(y).max())[1])
+        got, want = geometric.geometric_check(spec, y), geometric.geometric_check(spec, to_unit_size(y))
+        assert got.gradient_tol == want.gradient_tol
+        for name in ("grad_fd", "grad_geom", "discrepancy"):
+            assert np.asarray(getattr(got, name)).tobytes() == np.asarray(
+                getattr(want, name)).tobytes(), name
+        assert type(got.error) is type(want.error)
+        if isinstance(want.error, NonManifoldSuspected):
+            for name in ("residual", "sample_radius", "threshold"):
+                assert getattr(got.error, name) == math.ldexp(getattr(want.error, name), e)
+
+
+def test_geometric_check_checks_a_given_radius_in_the_callers_units():
+    spec = LpNorm(4.0, 3)
+    y = 2.0 ** 600 * np.array([3.0, -5.0, 8.0])
+    r = spec.value(y)
+    with pytest.raises(ValueError, match=re.escape(f"sample_radius must lie in (0, {0.05 * r:.3e}]")):
+        geometric.geometric_check(spec, y, sample_radius=r)
+    # a radius of the caller's units, scaled with the point
+    radius, e = 1e-4 * r, int(np.frexp(np.abs(y).max())[1])
+    got = geometric.geometric_check(spec, y, sample_radius=radius)
+    want = geometric.geometric_check(spec, to_unit_size(y), sample_radius=math.ldexp(radius, -e))
+    assert got.grad_geom.tobytes() == want.grad_geom.tobytes()
 
 
 @pytest.mark.parametrize("entry", [

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -104,12 +106,62 @@ def test_values_checks_the_stack():
     assert spec.values(np.empty((0, 2))).shape == (0,)
 
 
+#: A product of a product: ``values`` checks its stack once, and every block
+#: below is a slice of that stack.
+NESTED = ProductMaxNorm(ProductMaxNorm(LInfNorm(2), L1Norm(1)), HEXAGON)
+
+
+@pytest.mark.parametrize("spec", AXIOM_SPECS + [NESTED],
+                         ids=lambda s: type(s).__name__ + ("Nested" if s is NESTED else ""))
+def test_values_refuses_a_bad_stack_with_one_message(spec):
+    n = spec.dim
+    shape = f"expected a (k, {n}) stack of vectors, got shape"
+    nan, inf = np.ones((3, n)), np.ones((1, n))
+    nan[1, -1], inf[0, 0] = np.nan, -np.inf
+    for bad, message in ((np.ones(n), f"{shape} ({n},)"),
+                         (np.ones((2, n + 1)), f"{shape} (2, {n + 1})"),
+                         (np.ones((2, n - 1)), f"{shape} (2, {n - 1})"),
+                         (nan, "vector entries must be finite"),
+                         (inf, "vector entries must be finite")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            spec.values(bad)
+
+
+def test_a_nested_norm_checks_its_stack_once(monkeypatch):
+    checked = []
+    as_rows = norms.as_rows
+
+    def spy(X, dim):
+        checked.append((np.shape(X), dim))
+        return as_rows(X, dim)
+
+    monkeypatch.setattr(norms, "as_rows", spy)
+    NESTED.values(np.ones((4, 5)))
+    assert checked == [((4, 5), 5)]
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_a_nested_norm_is_the_block_maximum_of_its_parts(data):
+    k = data.draw(st.integers(min_value=0, max_value=6))
+    entry = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
+    X = np.array(data.draw(st.lists(st.lists(entry, min_size=5, max_size=5),
+                                    min_size=k, max_size=k)), dtype=float).reshape(k, 5)
+    inner, hexagon = NESTED.left, NESTED.right
+    want = np.maximum(np.maximum(inner.left.values(X[:, :2]), inner.right.values(X[:, 2:3])),
+                      hexagon.values(X[:, 3:]))
+    assert NESTED.values(X).tobytes() == want.tobytes()
+
+
 def test_families_write_their_norm_once():
-    # ``values`` is each family's one formula; ``value`` is its one-row case
+    # ``_values`` is each family's one formula, at a checked stack; the
+    # checked ``values`` and its one-row case ``value`` are NormSpec's alone
     assert norms._FAMILIES
+    assert "values" in vars(NormSpec) and "value" in vars(NormSpec)
     for kind, family in norms._FAMILIES.items():
         assert "value" not in vars(family), kind
-        assert "values" in vars(family), kind
+        assert "values" not in vars(family), kind
+        assert "_values" in vars(family), kind
 
 
 def test_families_write_their_derivative_once():
@@ -118,7 +170,8 @@ def test_families_write_their_derivative_once():
     for kind, family in norms._FAMILIES.items():
         for inherited in ("gradient_coeffs", "_gradient_rows", "to_dict"):
             assert inherited not in vars(family), (kind, inherited)
-        assert "values" in vars(family), kind
+        assert "values" not in vars(family), kind
+        assert "_values" in vars(family), kind
         assert "_closed_form_rows" in vars(family), kind
 
 
@@ -183,13 +236,13 @@ def test_gradient_rows_take_every_corner_row_from_one_stack(monkeypatch):
     expected = [fd_gradient(spec, e).coeffs if i != 1 else analytic_gradient(spec, e).coeffs
                 for i, e in enumerate(E)]
     stacks = []
-    values = LInfNorm.values
+    values = LInfNorm._values
 
     def spy(self, X):
         stacks.append(np.shape(X))
         return values(self, X)
 
-    monkeypatch.setattr(LInfNorm, "values", spy)
+    monkeypatch.setattr(LInfNorm, "_values", spy)
     G = spec.gradient_rows(E)
     assert stacks == [(4, 3), (18, 3)]
     assert [row.tobytes() for row in G] == [row.tobytes() for row in expected]
@@ -327,7 +380,7 @@ def test_fd_gradient_stack_matches_the_coordinate_loop(family):
 def test_fd_gradient_evaluates_one_stack(monkeypatch):
     spec = LpNorm(4.0, 3)
     stacks, scalars = [], []
-    values, value = LpNorm.values, LpNorm.value
+    values, value = LpNorm._values, LpNorm.value
 
     def spy_values(self, X):
         stacks.append(np.shape(X))
@@ -337,7 +390,7 @@ def test_fd_gradient_evaluates_one_stack(monkeypatch):
         scalars.append(np.shape(x))
         return value(self, x)
 
-    monkeypatch.setattr(LpNorm, "values", spy_values)
+    monkeypatch.setattr(LpNorm, "_values", spy_values)
     monkeypatch.setattr(LpNorm, "value", spy_value)
     fd_gradient(spec, [0.3, -0.5, 0.8])
     # one stack of the 2n shifted rows, after the norm of the point, which
@@ -345,6 +398,42 @@ def test_fd_gradient_evaluates_one_stack(monkeypatch):
     # scalar call to check it again
     assert stacks == [(1, 3), (6, 3)]
     assert scalars == []
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("t", [1e-317, 1e-300, 1e-150, 1.0, 1e150, 1e300])
+def test_fd_gradient_is_taken_at_unit_size(family, t):
+    # the differences run at the point brought to unit size by a power of
+    # two, so every scale, subnormal ones included, gives the bits there;
+    # a given step is scaled alike (one of 1e-7 |y| is itself subnormal,
+    # and so rounded, at t = 1e-317)
+    rng = np.random.default_rng(17)
+    for offset in (0.0, 0.2):
+        spec, x = tie_point(family, rng, offset)
+        y = t * x
+        unit = to_unit_size(y)
+        assert fd_gradient(spec, y).coeffs.tobytes() == fd_gradient(spec, unit).coeffs.tobytes()
+        if t < 1e-300:
+            continue
+        e = int(np.frexp(np.abs(y).max())[1])
+        step = 1e-7 * spec.value(unit)
+        assert (fd_gradient(spec, y, step=math.ldexp(step, e)).coeffs.tobytes()
+                == fd_gradient(spec, unit, step=step).coeffs.tobytes())
+
+
+def test_fd_gradient_checks_a_given_step_in_the_callers_units():
+    x = 2.0 ** 600 * np.array([0.3, -0.5, 0.8])
+    r = LpNorm(4.0, 3).value(x)
+    with pytest.raises(ValueError, match=re.escape(f"step must lie in (0, {r / 10.0:.3e})")):
+        fd_gradient(LpNorm(4.0, 3), x, step=r)
+
+
+def test_fd_gradient_matches_the_closed_form_at_a_subnormal_point():
+    # once a gap of 2.2e-3 at 1e-317 (3, -5, 8), where the shifted norms
+    # have about 21 bits
+    spec, x = LpNorm(4.0, 3), 1e-317 * np.array([3.0, -5.0, 8.0])
+    want = analytic_gradient(spec, to_unit_size(x)).coeffs
+    np.testing.assert_allclose(fd_gradient(spec, x).coeffs, want, rtol=0.0, atol=1e-9)
 
 
 @pytest.mark.parametrize("spec,point", [
@@ -425,14 +514,14 @@ def test_one_sided_slope_is_one_stack(family, seed, corner, decade):
     x = x * 10.0 ** decade
     v = rng.standard_normal(spec.dim)
     stacks = []
-    values = type(spec).values
+    values = type(spec)._values
 
     def spy_values(self, X):
         stacks.append(np.shape(X))
         return values(self, X)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(type(spec), "values", spy_values)
+        patch.setattr(type(spec), "_values", spy_values)
         got = one_sided_derivative(spec, x, v)
     # the base point and every step of the grid, in one stack
     assert stacks == [(len(DEFAULT_STEP_SEQUENCE) + 1, spec.dim)]
@@ -529,14 +618,14 @@ def test_classify_evaluates_a_fixed_sequence_of_stacks(family, corner):
     spec, x = tie_point(family, np.random.default_rng(5), 0.0 if corner else 0.2)
     n = spec.dim
     stacks = []
-    values = type(spec).values
+    values = type(spec)._values
 
     def spy_values(self, X):
         stacks.append(np.shape(X))
         return values(self, X)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(type(spec), "values", spy_values)
+        patch.setattr(type(spec), "_values", spy_values)
         classify_point(spec, x)
     # |x|, then fd_gradient's |u| and 2n shifts, then two slopes along each
     # of the 2n directions; the closed form at a smooth point reuses |x|
