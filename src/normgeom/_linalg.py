@@ -42,11 +42,13 @@ def vector_length(x: Array) -> float:
     """|x|_2 of one vector: one dot product while the square is in range.
 
     ``np.vdot`` sets no overflow warning; where the square over- or
-    underflows, ``euclidean_norm`` takes over. Both give the same bits.
+    underflows, ``euclidean_norm`` takes over. Both give the same bits. A
+    length beyond the float range is inf, with no warning either.
     """
     length = math.sqrt(np.vdot(x, x))
     if not 1e-150 <= length <= 1e150:
-        length = float(euclidean_norm(x))
+        with np.errstate(over="ignore"):
+            length = float(euclidean_norm(x))
     return length
 
 
@@ -125,11 +127,15 @@ def sample_design(dim: int, rows: int, low: float) -> tuple[Array, Array]:
 
 
 def extrapolate_to_zero(steps, values) -> float:
-    """Neville polynomial extrapolation of samples (step, value) to step -> 0."""
-    t = np.asarray(steps, dtype=float)
-    q = np.asarray(values, dtype=float).copy()
-    n = t.size
+    """Neville polynomial extrapolation of samples (step, value) to step -> 0.
+
+    The tableau runs on Python floats: the same IEEE double operations as
+    on numpy scalars, without boxing one at every entry.
+    """
+    t = np.asarray(steps, dtype=float).tolist()
+    q = np.asarray(values, dtype=float).tolist()
+    n = len(t)
     for level in range(1, n):
         for i in range(n - level):
             q[i] = (t[i] * q[i + 1] - t[i + level] * q[i]) / (t[i] - t[i + level])
-    return float(q[0])
+    return q[0]

@@ -71,13 +71,25 @@ def estimate_tangent(spec: NormSpec, e0, sample_radius: float) -> EstimatedTange
     differences. Raises NonManifoldSuspected when the residual is too
     large a fraction of the radius (corner or edge detected geometrically)
     and EstimationError when the samples are degenerate.
+
+    Like ``geometric_check``, the fit runs at ``e0`` scaled by a power of
+    two, with ``sample_radius`` checked in the caller's units and then
+    scaled: the basis has degree 0 and keeps its bits at every scale. The
+    result holds the caller's point, radius and residual, and a
+    NonManifoldSuspected states its lengths in the caller's units.
     """
-    e0, r = _checked_base(spec, e0)
+    e0 = as_vector(e0, spec.dim)
+    S, norm, e, r = _scaled_base(spec, e0)
     radius = _sample_radius(spec, r, sample_radius)
-    (fit,) = _estimate_tangent(spec, e0[None], np.array([r]), np.array([radius]))
+    (fit,) = _estimate_tangent(spec, S[None], np.array([norm]),
+                               np.array([math.ldexp(radius, -e)]))
+    if isinstance(fit, NonManifoldSuspected):
+        raise NonManifoldSuspected(
+            *(math.ldexp(x, e) for x in (fit.residual, fit.sample_radius, fit.threshold)))
     if isinstance(fit, EstimationError):
         raise fit
-    return fit
+    return EstimatedTangent(e0, fit.basis, math.ldexp(fit.sample_radius, e),
+                            math.ldexp(fit.residual, e))
 
 
 def _sample_radius(spec: NormSpec, r: float, sample_radius) -> float:

@@ -40,6 +40,7 @@ CLASSIFY_TOL = 1e-6
 
 #: Step grid for one-sided difference quotients (scaled by |point|_2).
 DEFAULT_STEP_SEQUENCE = (1e-3, 1e-4, 1e-5)
+_STEP_GRID = frozen_copy(DEFAULT_STEP_SEQUENCE)
 
 _MAX_LP_EXPONENT = 16.0
 
@@ -447,11 +448,15 @@ def analytic_gradient(spec: NormSpec, e0) -> GradientFunctional:
 
     Raises NotDifferentiableError at corner points (tied max attainers,
     zero coordinates of the l1 norm) and ValueError at the origin.
+
+    Like ``fd_gradient``, the closed form is taken at ``e0`` scaled by a
+    power of two: the coefficients have degree 0, so they keep their bits
+    at normal scales and their digits at subnormal and huge ones.
     """
-    e0, r = _checked_base(spec, e0)
-    if not np.any(e0):
+    S, norm, _, _ = _scaled_base(spec, e0)
+    if not S.any():
         raise ValueError("the norm is not differentiable at the origin")
-    coeffs, corners = spec._closed_form_rows(e0[None], np.array([r]))
+    coeffs, corners = spec._closed_form_rows(S[None], np.array([norm]))
     if corners[0]:
         raise NotDifferentiableError(f"{type(spec).__name__} has a corner at this point")
     return GradientFunctional(coeffs[0])
@@ -512,6 +517,10 @@ def one_sided_derivative(spec: NormSpec, e0, v) -> float:
     e0 + t_k v, with t the ``DEFAULT_STEP_SEQUENCE`` times |e0|_2, and are
     polynomially extrapolated to zero. Convexity of the norm guarantees the
     limit exists in every direction, smooth point or not.
+
+    Beyond |e0|_2 = 1e150 the slope is taken at e0 scaled by its power of
+    two (``_unit_rows``), where no norm overflows: slopes have degree 0,
+    and the scaling is exact while the entries stay normal.
     """
     e0 = as_vector(e0, spec.dim)
     v = as_vector(v, spec.dim)
@@ -520,10 +529,13 @@ def one_sided_derivative(spec: NormSpec, e0, v) -> float:
     if not np.any(v):
         raise ValueError("direction must be nonzero")
     scale = vector_length(e0)
-    t = np.array([s * scale for s in DEFAULT_STEP_SEQUENCE])
+    if scale > 1e150:
+        (e0,), _ = _unit_rows(e0[None])
+        scale = vector_length(e0)
+    t = scale * _STEP_GRID
     if t[-1] == 0.0:  # |e0| so far below the least normal float that a step rounds to 0
         raise ValueError("base point is too small for the step grid")
-    norms = spec.values(np.vstack([e0, e0 + t[:, None] * v]))
+    norms = spec.values(np.concatenate((e0[None], e0 + t[:, None] * v)))
     return extrapolate_to_zero(t, (norms[1:] - norms[0]) / t)
 
 
@@ -540,7 +552,9 @@ def classify_point(spec: NormSpec, e0, *, tol: float = CLASSIFY_TOL,
     one-sided slopes.
 
     The probes run at u = e0 / |e0|: slopes and the gradient have degree
-    0, so the verdict does not depend on the scale of ``e0``. ``tol`` must
+    0, so the verdict does not depend on the scale of ``e0``. A smooth
+    verdict holds the closed form, with ``analytic_gradient``'s bits
+    wherever the nonzero entries of ``e0`` are normal floats. ``tol`` must
     be finite and positive.
     """
     e0, r = _checked_base(spec, e0)
@@ -568,7 +582,7 @@ def _classify(spec: NormSpec, e0: Vector, r: float, tol: float, seed: int,
     directions = list(np.eye(n))
     while len(directions) < 2 * n:
         d = np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
-        length = np.linalg.norm(d)
+        length = vector_length(d)
         if length > 1e-12:
             directions.append(d / length)
 
@@ -589,7 +603,13 @@ def _classify(spec: NormSpec, e0: Vector, r: float, tol: float, seed: int,
     v, d_plus, d_minus = worst
     if worst_violation <= tol:
         # prefer the exact closed form, at the norm already in hand; the
-        # fd oracle validated it above
+        # fd oracle validated it above. Beyond [1e-150, 1e150] it is taken
+        # at e0 scaled by its power of two, as analytic_gradient takes it,
+        # since a subnormal norm has too few digits; within, that scaling
+        # changes no bit while the entries stay normal, so it is skipped
+        if not 1e-150 <= r <= 1e150:
+            (e0,), _ = _unit_rows(e0[None])
+            r = float(spec._values(e0[None])[0])
         coeffs, corners = spec._closed_form_rows(e0[None], np.array([r]))
         gradient = grad if corners[0] else GradientFunctional(coeffs[0])
         return SmoothnessVerdict(smooth=True, gradient=gradient, violation=worst_violation)

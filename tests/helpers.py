@@ -5,7 +5,7 @@ import numpy as np
 from normgeom import (DEFAULT_STEP_SEQUENCE, TIE_REL_TOL, ChartDomainError,
                       ConvergenceError, DecompositionError, L1Norm, LInfNorm, LpNorm,
                       PolyhedralNorm, ProductMaxNorm, QuadraticNorm, product_split)
-from normgeom._linalg import extrapolate_to_zero, sample_design
+from normgeom._linalg import sample_design
 from normgeom.charts import _near_base, chart_forward_rows, chart_inverse_rows
 from normgeom.norms import as_rows
 
@@ -34,12 +34,28 @@ def fd_jacobian(func, x, step=1e-6):
     return np.stack(cols, axis=1)
 
 
+def extrapolate_reference(steps, values):
+    """Neville extrapolation to step 0 on numpy scalars, entry by entry.
+
+    The loop ``extrapolate_to_zero`` runs on Python floats; overflow gives
+    inf or NaN here with no warning.
+    """
+    t = np.asarray(steps, dtype=float)
+    q = np.asarray(values, dtype=float).copy()
+    n = t.size
+    with np.errstate(all="ignore"):
+        for level in range(1, n):
+            for i in range(n - level):
+                q[i] = (t[i] * q[i + 1] - t[i + level] * q[i]) / (t[i] - t[i + level])
+    return float(q[0])
+
+
 def one_sided_reference(spec, e0, v):
     """The right slope of ``one_sided_derivative``, one scalar norm per step."""
     e0, v = np.asarray(e0, dtype=float), np.asarray(v, dtype=float)
     steps = [s * float(np.linalg.norm(e0)) for s in DEFAULT_STEP_SEQUENCE]
     r = spec.value(e0)
-    return extrapolate_to_zero(steps, [(spec.value(e0 + t * v) - r) / t for t in steps])
+    return extrapolate_reference(steps, [(spec.value(e0 + t * v) - r) / t for t in steps])
 
 
 def expansion_reference(spec, e0, basis, exponents=(2, 3, 4, 5)):
@@ -356,4 +372,11 @@ def to_unit_size(x):
     """
     x = np.asarray(x, dtype=float)
     return np.ldexp(x, -np.frexp(np.abs(x).max())[1])
+
+
+def all_normal(x):
+    """Whether every nonzero entry of ``x`` is a normal float."""
+    x = np.asarray(x, dtype=float)
+    nonzero = np.abs(x[x != 0.0])
+    return bool(((nonzero >= np.finfo(float).tiny) & (nonzero <= np.finfo(float).max)).all())
 FAMILIES = ("lp", "quadratic") + TIE_FAMILIES

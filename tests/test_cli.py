@@ -549,7 +549,12 @@ def _one_result(command, spec_file, point, out, *options):
     return json.loads(out.read_text())["results"][0]["result"]
 
 
-@pytest.mark.parametrize("t", [1e-317, 1.0, 1e300])
+#: Scales of (3, -5, 8), all exact; at 1e-320 and 1e-322 the closed form
+#: once missed by 5.0e-5 and 7.9e-3.
+CLI_SCALES = [1e-322, 1e-320, 1e-317, 1.0, 1e300]
+
+
+@pytest.mark.parametrize("t", CLI_SCALES)
 def test_grad_and_chart_pass_at_every_scale(lp4_spec, tmp_path, t):
     # both run at the point brought to unit size by a power of two; at
     # 1e-317 grad once read an fd gap of 2.2e-3 and chart a Newton stall
@@ -563,6 +568,16 @@ def test_grad_and_chart_pass_at_every_scale(lp4_spec, tmp_path, t):
     e = int(np.frexp(np.abs(y).max())[1])
     unit_radius = 0.25 * LpNorm(4.0, 3).value(to_unit_size(y))
     assert chart["domain_radius"] == math.ldexp(unit_radius, e)
+
+
+@pytest.mark.parametrize("t", CLI_SCALES)
+def test_classify_passes_at_every_scale(lp4_spec, tmp_path, t):
+    # the smooth verdict's closed form is taken at unit size
+    x = np.array([3.0, -5.0, 8.0])
+    want = _one_result("classify", lp4_spec, x, tmp_path / "unit.json")
+    got = _one_result("classify", lp4_spec, t * x, tmp_path / "scaled.json")
+    assert got["smooth"] and want["smooth"]
+    np.testing.assert_allclose(got["gradient"], want["gradient"], rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("k", [-900, -1, 0, 5, 900])

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -15,11 +16,12 @@ from normgeom import (DecompositionError, EstimatedTangent, EstimationError, Geo
                       analytic_gradient, classify_point,
                       directional_expansion_check, equivalence_roundtrip,
                       estimate_tangent, eval_norm, fd_gradient,
-                      geometric_gradient, sphere_chart_image_check, tangent_frame)
+                      geometric_gradient, one_sided_derivative, sphere_chart_image_check,
+                      tangent_frame)
 from normgeom import charts, geometric
-from helpers import (EXTREME_SCALES, FAMILIES, central_diff_gradient, expansion_reference,
-                     generic_point, geometric_gradient_coeffs_reference, smooth_specs,
-                     spd_matrix, tie_point, to_unit_size)
+from helpers import (EXTREME_SCALES, FAMILIES, all_normal, central_diff_gradient,
+                     expansion_reference, generic_point, geometric_gradient_coeffs_reference,
+                     smooth_specs, spd_matrix, tie_point, to_unit_size)
 
 EUCLID2 = QuadraticNorm(np.eye(2))
 
@@ -588,12 +590,6 @@ def test_roundtrip_is_consistent_at_every_decade(spec, point):
     assert [report.point.tobytes() for report in reports] == [x.tobytes() for x in P]
 
 
-def _normal(x):
-    """Whether every nonzero entry of ``x`` is a normal float."""
-    nonzero = np.abs(x[x != 0.0])
-    return bool(((nonzero >= np.finfo(float).tiny) & (nonzero <= np.finfo(float).max)).all())
-
-
 @pytest.mark.parametrize("family", FAMILIES)
 @given(seed=st.integers(0, 2**32 - 1), offset=_OFFSETS, decade=st.floats(-300.0, 300.0),
        data=st.data())
@@ -601,11 +597,11 @@ def _normal(x):
 def test_roundtrip_report_is_invariant_under_powers_of_two(family, seed, offset, decade, data):
     spec, x = tie_point(family, np.random.default_rng(seed), offset)
     x = 10.0 ** decade * x
-    assume(_normal(x))
+    assume(all_normal(x))
     _, exponents = np.frexp(x[x != 0.0])
     k = data.draw(st.integers(-1021 - int(exponents.min()), 1024 - int(exponents.max())))
     y = np.ldexp(x, k)
-    assert _normal(y)
+    assert all_normal(y)
     report, scaled = equivalence_roundtrip(spec, x), equivalence_roundtrip(spec, y)
     assert scaled.point.tobytes() == y.tobytes()
     for field in dataclasses.fields(geometric.RoundtripReport):
@@ -642,6 +638,50 @@ def test_a_norm_past_the_float_range_is_refused_with_one_message(spec, point, en
 @pytest.mark.parametrize("spec,point", OVERFLOWS, ids=["l1", "lp4"])
 def test_the_roundtrip_runs_where_the_norm_overflows(spec, point):
     assert equivalence_roundtrip(spec, point).verdict == "consistent"
+
+
+@pytest.mark.parametrize("spec,point", OVERFLOWS, ids=["l1", "lp4"])
+def test_a_slope_where_the_norm_overflows_is_taken_at_unit_size(spec, point):
+    # slopes have degree 0; beyond |e0|_2 = 1e150 they are taken at the
+    # point brought to unit size, where no norm overflows. Before, this
+    # raised "overflow encountered in reduce"
+    v = np.random.default_rng(41).standard_normal(3)
+    unit = to_unit_size(point)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for w in [*np.eye(3), *-np.eye(3), v]:
+            got = one_sided_derivative(spec, point, w)
+            assert math.isfinite(got)
+            assert got.hex() == one_sided_derivative(spec, unit, w).hex()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_estimate_tangent_keeps_its_bits_under_powers_of_two(family):
+    # the fit runs at the point brought to unit size, where LAPACK never
+    # rescales the samples' differences; at the caller's scale the basis
+    # once changed its bits at |k| >= 460. Lengths come back in the
+    # caller's units, a NonManifoldSuspected's too
+    rng = np.random.default_rng(31)
+    for offset in (0.0, 0.2):
+        spec, x = tie_point(family, rng, offset)
+        radius = 1e-3 * spec.value(x)
+        try:
+            want = estimate_tangent(spec, x, radius)
+        except NonManifoldSuspected as exc:
+            want = exc
+        for k in (-600, -460, 460, 600):
+            y = np.ldexp(x, k)
+            if isinstance(want, NonManifoldSuspected):
+                with pytest.raises(NonManifoldSuspected) as info:
+                    estimate_tangent(spec, y, math.ldexp(radius, k))
+                for name in ("residual", "sample_radius", "threshold"):
+                    assert getattr(info.value, name) == math.ldexp(getattr(want, name), k)
+                continue
+            got = estimate_tangent(spec, y, math.ldexp(radius, k))
+            assert got.basis.tobytes() == want.basis.tobytes()
+            assert got.residual == math.ldexp(want.residual, k)
+            assert got.sample_radius == math.ldexp(radius, k)
+            assert got.base_point.tobytes() == y.tobytes()
 
 
 @pytest.mark.parametrize("family", FAMILIES)

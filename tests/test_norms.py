@@ -14,10 +14,11 @@ from normgeom import (DEFAULT_STEP_SEQUENCE, L1Norm, LInfNorm, LpNorm,
                       fd_gradient, norms, one_sided_derivative, product_embed,
                       product_norm_constants, product_split, spec_from_dict,
                       spec_to_dict, tangent_frame)
+from normgeom._linalg import extrapolate_to_zero
 from helpers import (BLOCK_MAX, EXTREME_SCALES, FAMILIES, HEXAGON, TIE_FAMILIES,
-                     central_diff_gradient, closed_form_reference, corner_rows,
-                     generic_point, one_sided_reference, smooth_specs, tie_point,
-                     to_unit_size)
+                     all_normal, central_diff_gradient, closed_form_reference, corner_rows,
+                     extrapolate_reference, generic_point, one_sided_reference,
+                     smooth_specs, spd_matrix, tie_point, to_unit_size)
 
 EUCLID2 = QuadraticNorm(np.eye(2))
 
@@ -185,7 +186,10 @@ DERIVATIVE_SPECS = AXIOM_SPECS + [
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_closed_form_rows_match_the_scalar_reference(spec, data):
-    # bit for bit, over 24 decades of scale, at exact and near corners
+    # bit for bit, over 24 decades of scale, at exact and near corners;
+    # analytic_gradient takes the closed form at the point brought to unit
+    # size, which is the caller's point scaled exactly while its nonzero
+    # entries are normal floats
     unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
     x = np.array(data.draw(st.lists(unit, min_size=spec.dim, max_size=spec.dim)))
     if not np.any(x):
@@ -199,11 +203,14 @@ def test_closed_form_rows_match_the_scalar_reference(spec, data):
         ref, ref_corner = closed_form_reference(spec, e)
         assert c.tobytes() == ref.tobytes()
         assert corner == ref_corner
-        if corner:
+        unit_ref, unit_corner = closed_form_reference(spec, to_unit_size(e))
+        if all_normal(e) and all_normal(to_unit_size(e)):
+            assert (unit_ref.tobytes(), unit_corner) == (ref.tobytes(), ref_corner)
+        if unit_corner:
             with pytest.raises(NotDifferentiableError):
                 analytic_gradient(spec, e)
         else:
-            assert analytic_gradient(spec, e).coeffs.tobytes() == ref.tobytes()
+            assert analytic_gradient(spec, e).coeffs.tobytes() == unit_ref.tobytes()
 
 
 @pytest.mark.parametrize("spec", AXIOM_SPECS, ids=lambda s: type(s).__name__)
@@ -421,6 +428,34 @@ def test_fd_gradient_is_taken_at_unit_size(family, t):
                 == fd_gradient(spec, unit, step=step).coeffs.tobytes())
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("t", [1e-322, 1e-320, 1e-318, 1e-300, 1.0, 1e300])
+def test_closed_forms_are_taken_at_unit_size(family, t):
+    # analytic_gradient and a smooth verdict take the closed form at the
+    # point brought to unit size by a power of two, so every scale gives
+    # the bits there
+    spec, x = tie_point(family, np.random.default_rng(19), 0.2)
+    y = t * x
+    want = analytic_gradient(spec, to_unit_size(y)).coeffs.tobytes()
+    assert analytic_gradient(spec, y).coeffs.tobytes() == want
+    verdict = classify_point(spec, y)
+    assert verdict.smooth and verdict.gradient.coeffs.tobytes() == want
+
+
+@pytest.mark.parametrize("spec", [
+    LpNorm(4.0, 3), QuadraticNorm(spd_matrix(np.random.default_rng(5), 3)),
+], ids=["lp4", "spd3"])
+@pytest.mark.parametrize("t", [1e-318, 1e-320, 1e-322])
+def test_closed_forms_keep_their_digits_at_subnormal_points(spec, t):
+    # t (3, -5, 8) is exact here, on the ray of (3, -5, 8); at the caller's
+    # scale the norm has few digits, and the coefficients once missed by
+    # 4.6e-7 (t = 1e-318) to 7.9e-3 (t = 1e-322)
+    x = np.array([3.0, -5.0, 8.0])
+    want = analytic_gradient(spec, x).coeffs
+    for got in (analytic_gradient(spec, t * x), classify_point(spec, t * x).gradient):
+        np.testing.assert_allclose(got.coeffs, want, rtol=0.0, atol=1e-15)
+
+
 def test_fd_gradient_checks_a_given_step_in_the_callers_units():
     x = 2.0 ** 600 * np.array([0.3, -0.5, 0.8])
     r = LpNorm(4.0, 3).value(x)
@@ -538,6 +573,29 @@ def test_one_sided_step_sequence_validation():
 
 def test_default_step_sequence_matches_published_grid():
     assert DEFAULT_STEP_SEQUENCE == (1e-3, 1e-4, 1e-5)
+
+
+def test_the_step_grid_is_the_published_sequence_read_only():
+    # |e0|_2 times this array gives the products of the scalar grid
+    assert norms._STEP_GRID.tolist() == list(DEFAULT_STEP_SEQUENCE)
+    assert norms._STEP_GRID.dtype == np.float64
+    assert not norms._STEP_GRID.flags.writeable
+
+
+_MAGNITUDE = st.floats(1e-300, 1e300) | st.floats(-1e300, -1e-300)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_extrapolation_matches_the_numpy_scalar_tableau(data):
+    # the same IEEE operations on Python floats: every bit agrees, and so
+    # do the inf and NaN of a tableau that overflows
+    steps = data.draw(st.lists(_MAGNITUDE, min_size=2, max_size=4, unique=True))
+    values = data.draw(st.lists(_MAGNITUDE | st.just(0.0), min_size=len(steps),
+                                max_size=len(steps)))
+    got = extrapolate_to_zero(np.array(steps), np.array(values))
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(extrapolate_reference(steps, values)).tobytes()
 
 
 # ------------------------------------------------------------- classifier
