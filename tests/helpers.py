@@ -379,4 +379,6 @@ def all_normal(x):
     x = np.asarray(x, dtype=float)
     nonzero = np.abs(x[x != 0.0])
     return bool(((nonzero >= np.finfo(float).tiny) & (nonzero <= np.finfo(float).max)).all())
+
+
 FAMILIES = ("lp", "quadratic") + TIE_FAMILIES

@@ -573,10 +573,7 @@ def test_one_sided_step_sequence_validation():
 
 def test_default_step_sequence_matches_published_grid():
     assert DEFAULT_STEP_SEQUENCE == (1e-3, 1e-4, 1e-5)
-
-
-def test_the_step_grid_is_the_published_sequence_read_only():
-    # |e0|_2 times this array gives the products of the scalar grid
+    # the slope's read-only copy: |e0|_2 times it gives the scalar products
     assert norms._STEP_GRID.tolist() == list(DEFAULT_STEP_SEQUENCE)
     assert norms._STEP_GRID.dtype == np.float64
     assert not norms._STEP_GRID.flags.writeable
