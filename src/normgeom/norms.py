@@ -99,8 +99,11 @@ class NormSpec:
             _FAMILIES[kind] = cls
 
     def value(self, x) -> float:
-        """The norm of one vector: the one-row case of ``values``."""
-        return float(self._values(as_vector(x, self.dim)[None])[0])
+        """The norm of one vector: the one-row case of ``values``.
+
+        Raises ValueError when the norm lies beyond the float range.
+        """
+        return _checked_base(self, x)[1]
 
     def values(self, X) -> Vector:
         """The norm of every row of a (k, dim) stack, checked once as a whole."""
@@ -524,9 +527,9 @@ def one_sided_derivative(spec: NormSpec, e0, v) -> float:
     """
     e0 = as_vector(e0, spec.dim)
     v = as_vector(v, spec.dim)
-    if not np.any(e0):
+    if not e0.any():
         raise ValueError("base point must be nonzero")
-    if not np.any(v):
+    if not v.any():
         raise ValueError("direction must be nonzero")
     scale = vector_length(e0)
     if scale > 1e150:
@@ -558,7 +561,7 @@ def classify_point(spec: NormSpec, e0, *, tol: float = CLASSIFY_TOL,
     be finite and positive.
     """
     e0, r = _checked_base(spec, e0)
-    if not np.any(e0):
+    if not e0.any():
         raise ValueError("cannot classify the origin")
     tol = positive_finite(tol, "tol")
     return _classify(spec, e0, r, tol, seed)
@@ -593,7 +596,7 @@ def _classify(spec: NormSpec, e0: Vector, r: float, tol: float, seed: int,
         d_plus = one_sided_derivative(spec, u, v)
         d_minus = one_sided_derivative(spec, u, -v)
         gap = d_plus + d_minus  # zero iff the two-sided derivative exists
-        slope = grad.apply(v)
+        slope = float(grad.coeffs @ v)  # grad.apply(v); v passed as_vector just above
         linearity = max(abs(d_plus - slope), abs(d_minus + slope))
         violation = max(abs(gap), linearity)
         if violation > worst_violation:

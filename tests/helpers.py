@@ -1,10 +1,13 @@
 """Shared test utilities: independent oracles and spec inventories."""
 
+import random
+
 import numpy as np
 
-from normgeom import (DEFAULT_STEP_SEQUENCE, TIE_REL_TOL, ChartDomainError,
-                      ConvergenceError, DecompositionError, L1Norm, LInfNorm, LpNorm,
-                      PolyhedralNorm, ProductMaxNorm, QuadraticNorm, product_split)
+from normgeom import (CLASSIFY_TOL, DEFAULT_STEP_SEQUENCE, TIE_REL_TOL, ChartDomainError,
+                      ConvergenceError, DecompositionError, GradientFunctional, L1Norm,
+                      LInfNorm, LpNorm, PolyhedralNorm, ProductMaxNorm, QuadraticNorm,
+                      SmoothnessVerdict, fd_gradient, product_split)
 from normgeom._linalg import sample_design
 from normgeom.charts import _near_base, chart_forward_rows, chart_inverse_rows
 from normgeom.norms import as_rows
@@ -56,6 +59,47 @@ def one_sided_reference(spec, e0, v):
     steps = [s * float(np.linalg.norm(e0)) for s in DEFAULT_STEP_SEQUENCE]
     r = spec.value(e0)
     return extrapolate_reference(steps, [(spec.value(e0 + t * v) - r) / t for t in steps])
+
+
+def classify_reference(spec, e0, seed=0, tol=CLASSIFY_TOL):
+    """``classify_point``'s verdict from its loop over public entries.
+
+    The same seeded directions; every slope from ``one_sided_reference``,
+    the fd slope from the public ``fd_gradient`` and ``grad.apply(v)``;
+    the same worst-direction rule, and a smooth verdict's closed form from
+    ``closed_form_reference``, at the point scaled by its power of two
+    when |e0| lies outside [1e-150, 1e150].
+    """
+    e0 = np.asarray(e0, dtype=float)
+    r = spec.value(e0)
+    u = e0 / r
+    n = spec.dim
+    rng = random.Random(seed)
+    directions = list(np.eye(n))
+    while len(directions) < 2 * n:
+        d = np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
+        length = float(np.linalg.norm(d))
+        if length > 1e-12:
+            directions.append(d / length)
+    grad = fd_gradient(spec, u)
+    worst_violation, worst = -np.inf, None
+    for v in directions:
+        d_plus = one_sided_reference(spec, u, v)
+        d_minus = one_sided_reference(spec, u, -v)
+        slope = grad.apply(v)
+        linearity = max(abs(d_plus - slope), abs(d_minus + slope))
+        violation = max(abs(d_plus + d_minus), linearity)
+        if violation > worst_violation:
+            worst_violation, worst = violation, (v, d_plus, d_minus)
+    v, d_plus, d_minus = worst
+    if worst_violation <= tol:
+        if not 1e-150 <= r <= 1e150:
+            e0 = to_unit_size(e0)
+        coeffs, corner = closed_form_reference(spec, e0)
+        gradient = grad if corner else GradientFunctional(coeffs)
+        return SmoothnessVerdict(smooth=True, gradient=gradient, violation=worst_violation)
+    return SmoothnessVerdict(smooth=False, witness_direction=v, right_deriv=d_plus,
+                             left_deriv=-d_minus, violation=worst_violation)
 
 
 def expansion_reference(spec, e0, basis, exponents=(2, 3, 4, 5)):

@@ -636,6 +636,18 @@ def test_a_norm_past_the_float_range_is_refused_with_one_message(spec, point, en
 
 
 @pytest.mark.parametrize("spec,point", OVERFLOWS, ids=["l1", "lp4"])
+@pytest.mark.parametrize("entry", [eval_norm, lambda spec, x: spec.value(x)],
+                         ids=["eval_norm", "value"])
+def test_a_scalar_norm_past_the_float_range_is_refused(spec, point, entry):
+    # once inf with an "overflow encountered" RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match="^the norm of the base point overflows the float range$"):
+            entry(spec, point)
+
+
+@pytest.mark.parametrize("spec,point", OVERFLOWS, ids=["l1", "lp4"])
 def test_the_roundtrip_runs_where_the_norm_overflows(spec, point):
     assert equivalence_roundtrip(spec, point).verdict == "consistent"
 

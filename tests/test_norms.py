@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -16,7 +17,8 @@ from normgeom import (DEFAULT_STEP_SEQUENCE, L1Norm, LInfNorm, LpNorm,
                       spec_to_dict, tangent_frame)
 from normgeom._linalg import extrapolate_to_zero
 from helpers import (BLOCK_MAX, EXTREME_SCALES, FAMILIES, HEXAGON, TIE_FAMILIES,
-                     all_normal, central_diff_gradient, closed_form_reference, corner_rows,
+                     all_normal, central_diff_gradient, classify_reference,
+                     closed_form_reference, corner_rows,
                      extrapolate_reference, generic_point, one_sided_reference,
                      smooth_specs, spd_matrix, tie_point, to_unit_size)
 
@@ -686,6 +688,34 @@ def test_classify_evaluates_a_fixed_sequence_of_stacks(family, corner):
     # of the 2n directions; the closed form at a smooth point reuses |x|
     slopes = [(len(DEFAULT_STEP_SEQUENCE) + 1, n)] * (4 * n)
     assert stacks == [(1, n), (1, n), (2 * n, n)] + slopes
+
+
+def _bits(value):
+    """``value``'s bytes: a flag's, a float's, an array's, a functional's coefficients'."""
+    if isinstance(value, norms.GradientFunctional):
+        value = value.coeffs
+    return None if value is None else np.asarray(value, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@given(seed=st.integers(0, 2**32 - 1), generic=st.booleans(),
+       offset=st.sampled_from([0.0, 1e-9, 1e-6, 1e-3]) | st.floats(0.0, 0.3),
+       decade=st.sampled_from([-200.0, 200.0]) | st.floats(-12.0, 12.0),
+       classify_seed=st.integers(0, 2**16), tol=st.sampled_from([norms.CLASSIFY_TOL, 1e-3]))
+@settings(max_examples=30, deadline=None)
+def test_classify_matches_its_loop_over_public_entries(family, seed, generic, offset, decade,
+                                                       classify_seed, tol):
+    # every slope, the fd slope g(v) and the closed form as the public
+    # entries give them, one call at a time: every field keeps its bits
+    rng = np.random.default_rng(seed)
+    spec, x = tie_point(family, rng, offset)
+    if generic:
+        x = generic_point(rng, spec.dim)
+    x = 10.0 ** decade * x
+    got = classify_point(spec, x, tol=tol, seed=classify_seed)
+    want = classify_reference(spec, x, seed=classify_seed, tol=tol)
+    for field in dataclasses.fields(got):
+        assert _bits(getattr(got, field.name)) == _bits(getattr(want, field.name)), field.name
 
 
 @pytest.mark.parametrize("family", FAMILIES)
